@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all verify vet lint lint-fix-check race fuzz bench-smoke
+.PHONY: all verify vet lint lint-fix-check race fuzz bench-smoke perfbench-test
 
 all: verify vet lint
 
@@ -46,6 +46,13 @@ lint-fix-check:
 # core concurrent-session stress test.
 race:
 	$(GO) test -race ./...
+
+# The end-to-end benchmark's own tests. _perfbench is a separate module
+# that imports the repository's packages, and ./... skips it (leading
+# underscore), so this is what catches an API change that breaks the
+# benchmark build.
+perfbench-test:
+	cd _perfbench && $(GO) test ./...
 
 # Telemetry smoke: run the instrumented bench workload at a fixed size and
 # validate the emitted BENCH_obs.json against its schema.

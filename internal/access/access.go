@@ -48,12 +48,57 @@ var (
 	nodesSkipped = obs.Default().Counter("xmlsec_xupdate_nodes_total", "result", "skipped")
 )
 
-// opOutcome counts one secured operation by kind and outcome
-// (applied | skipped | noop | error). The label drops the wire prefix:
-// kind="update", not kind="xupdate:update".
-func opOutcome(k xupdate.Kind, outcome string) {
+// outcome classifies one secured operation for xmlsec_xupdate_ops_total.
+type outcome int
+
+const (
+	outcomeApplied outcome = iota
+	outcomeSkipped
+	outcomeNoop
+	outcomeError
+	numOutcomes
+)
+
+// MetricLabel returns the outcome's label; every branch is a literal so
+// labels stay compile-time bounded (xmlsec-vet obslabel).
+func (o outcome) MetricLabel() string {
+	switch o {
+	case outcomeApplied:
+		return "applied"
+	case outcomeSkipped:
+		return "skipped"
+	case outcomeNoop:
+		return "noop"
+	default:
+		return "error"
+	}
+}
+
+// opCounters holds the xmlsec_xupdate_ops_total handle of every (kind,
+// outcome) pair of the six executable operations (kinds Update through
+// Remove), resolved once so the commit leader takes no registry lock per
+// operation. The label drops the wire prefix: kind="update", not
+// kind="xupdate:update".
+var opCounters = func() (c [xupdate.Remove + 1][numOutcomes]*obs.Counter) {
+	for k := range c {
+		for o := range c[k] {
+			c[k][o] = obs.Default().Counter("xmlsec_xupdate_ops_total",
+				"kind", xupdate.Kind(k).MetricLabel(), "outcome", outcome(o).MetricLabel())
+		}
+	}
+	return
+}()
+
+// opOutcome counts one secured operation by kind and outcome. Kinds
+// outside the executable six (rejected by Validate before they get here)
+// still count, through the registry lookup.
+func opOutcome(k xupdate.Kind, o outcome) {
+	if k >= 0 && int(k) < len(opCounters) {
+		opCounters[k][o].Inc()
+		return
+	}
 	obs.Default().Counter("xmlsec_xupdate_ops_total",
-		"kind", k.MetricLabel(), "outcome", outcome).Inc()
+		"kind", k.MetricLabel(), "outcome", o.MetricLabel()).Inc()
 }
 
 // Execute applies op on behalf of user: permissions are evaluated (axiom
@@ -78,31 +123,63 @@ func ExecuteWithVars(doc *xmltree.Document, h *subject.Hierarchy, pol *policy.Po
 // an active trace the policy evaluation, view materialization, view-select
 // and axiom 18–25 application loop all appear as child spans, the latter
 // annotated with the op kind and per-node accounting.
+//
+// It derives the view from scratch with the reference evaluator on every
+// call, which makes it the oracle for ApplyOnView: the database's commit
+// rounds carry an incrementally maintained view instead.
 func ExecuteWithVarsCtx(ctx context.Context, doc *xmltree.Document, h *subject.Hierarchy, pol *policy.Policy, user string, op *xupdate.Op, extra xpath.Vars) (*xupdate.Result, *view.View, error) {
-	if !h.Exists(user) {
-		return nil, nil, fmt.Errorf("%w: %q", ErrUnknownUser, user)
-	}
-	if err := op.Validate(); err != nil {
+	if err := Check(h, user, op); err != nil {
 		return nil, nil, err
-	}
-	if op.Kind == xupdate.Variable {
-		return nil, nil, fmt.Errorf("access: variable bindings need a sequence context (Session.Apply)")
 	}
 	pm, err := pol.EvaluateCtx(ctx, doc, h, user)
 	if err != nil {
 		return nil, nil, err
 	}
 	v := view.MaterializeCtx(ctx, doc, pm)
+	res, err := ApplyOnView(ctx, doc, pm, v, op, extra)
+	if err != nil {
+		return nil, nil, err
+	}
+	return res, v, nil
+}
+
+// Check reports whether user may submit op to the secured executor at
+// all: the user must be declared in h and op must be a valid operation
+// that needs no sequence context (xupdate:variable bindings are threaded
+// by Session.Apply, not executed).
+func Check(h *subject.Hierarchy, user string, op *xupdate.Op) error {
+	if !h.Exists(user) {
+		return fmt.Errorf("%w: %q", ErrUnknownUser, user)
+	}
+	if err := op.Validate(); err != nil {
+		return err
+	}
+	if op.Kind == xupdate.Variable {
+		return fmt.Errorf("access: variable bindings need a sequence context (Session.Apply)")
+	}
+	return nil
+}
+
+// ApplyOnView is the secured executor's core (axioms 18–25) for a view
+// the caller already holds: pm must be the axiom-14 permissions of
+// pm.User() on doc at its current version and v the view derived from
+// them (axioms 15–17), and op must have passed Check. $USER binds to
+// pm.User(); value-of content is expanded and the select path evaluated
+// on v, and every selected node is changed in doc if and only if the
+// §4.4.2 privilege requirements hold. Neither pm nor v is modified, so
+// both may be frozen, shared cache entries; after a successful change
+// they describe doc's previous version.
+func ApplyOnView(ctx context.Context, doc *xmltree.Document, pm *policy.Perms, v *view.View, op *xupdate.Op, extra xpath.Vars) (*xupdate.Result, error) {
 	vars := make(xpath.Vars, len(extra)+1)
 	for k, val := range extra {
 		vars[k] = val
 	}
-	vars["USER"] = xpath.String(user)
+	vars["USER"] = xpath.String(pm.User())
 	run := op
 	if op.HasDynamicContent() {
 		expanded, err := op.ExpandContent(v.Doc.Root(), vars)
 		if err != nil {
-			return nil, nil, fmt.Errorf("access: expanding dynamic content on view: %w", err)
+			return nil, fmt.Errorf("access: expanding dynamic content on view: %w", err)
 		}
 		cp := *op
 		cp.Content = expanded
@@ -113,17 +190,17 @@ func ExecuteWithVarsCtx(ctx context.Context, doc *xmltree.Document, h *subject.H
 	selSpan.AnnotateInt("selected", int64(len(sel)))
 	selSpan.End()
 	if err != nil {
-		opOutcome(op.Kind, "error")
-		return nil, nil, fmt.Errorf("access: evaluating select path on view: %w", err)
+		opOutcome(op.Kind, outcomeError)
+		return nil, fmt.Errorf("access: evaluating select path on view: %w", err)
 	}
 	res := &xupdate.Result{Selected: len(sel)}
 	_, applySpan := obs.StartSpanCtx(ctx, "secured_apply", applyStage)
 	applySpan.Annotate("kind", op.Kind.MetricLabel())
 	for _, vn := range sel {
-		if err := applySecured(doc, pm, v, run, vn, res); err != nil {
+		if err := applySecured(doc, pm, run, vn, res); err != nil {
 			applySpan.End()
-			opOutcome(op.Kind, "error")
-			return nil, nil, err
+			opOutcome(op.Kind, outcomeError)
+			return nil, err
 		}
 	}
 	applySpan.AnnotateInt("applied", int64(res.Applied))
@@ -133,13 +210,13 @@ func ExecuteWithVarsCtx(ctx context.Context, doc *xmltree.Document, h *subject.H
 	nodesSkipped.Add(uint64(len(res.Skipped)))
 	switch {
 	case res.Applied > 0:
-		opOutcome(op.Kind, "applied")
+		opOutcome(op.Kind, outcomeApplied)
 	case len(res.Skipped) > 0:
-		opOutcome(op.Kind, "skipped")
+		opOutcome(op.Kind, outcomeSkipped)
 	default:
-		opOutcome(op.Kind, "noop")
+		opOutcome(op.Kind, outcomeNoop)
 	}
-	return res, v, nil
+	return res, nil
 }
 
 // skip records a per-node refusal.
@@ -149,7 +226,7 @@ func skip(res *xupdate.Result, n *xmltree.Node, reason string) {
 
 // applySecured enforces the §4.4.2 requirements for one node selected on
 // the view and, if satisfied, performs the change on the source document.
-func applySecured(doc *xmltree.Document, pm *policy.Perms, v *view.View, op *xupdate.Op, vn *xmltree.Node, res *xupdate.Result) error {
+func applySecured(doc *xmltree.Document, pm *policy.Perms, op *xupdate.Op, vn *xmltree.Node, res *xupdate.Result) error {
 	// Map the view node back to its source node via the shared identifier.
 	src := doc.NodeByID(vn.ID())
 	if src == nil {

@@ -1,10 +1,13 @@
 package access
 
 import (
+	"context"
+	"reflect"
 	"testing"
 
 	"securexml/internal/policy"
 	"securexml/internal/subject"
+	"securexml/internal/view"
 	"securexml/internal/xmltree"
 	"securexml/internal/xpath"
 	"securexml/internal/xupdate"
@@ -535,5 +538,44 @@ func TestUpdateAttributeThroughView(t *testing.T) {
 	}
 	if countNodes(t, d, "/r/e[@id='new']") != 1 {
 		t.Error("attribute not updated through the view path")
+	}
+}
+
+// TestApplyOnViewMatchesExecute runs each operation twice: through
+// Execute, which derives the view itself, and through ApplyOnView on a
+// frozen view of an identical document derived with the shared-scan
+// evaluator. Results and resulting documents must agree, and the frozen
+// view must come back untouched.
+func TestApplyOnViewMatchesExecute(t *testing.T) {
+	ops := []*xupdate.Op{
+		{Kind: xupdate.Update, Select: "/patients/franck/diagnosis", NewValue: "pharyngitis"},
+		{Kind: xupdate.Rename, Select: "//diagnosis", NewValue: "dx"},
+		{Kind: xupdate.Append, Select: "//diagnosis", Content: fragment(t, "<note>n</note>")},
+		{Kind: xupdate.InsertBefore, Select: "/patients/*/service", Content: fragment(t, "<ward/>")},
+		{Kind: xupdate.Remove, Select: "//diagnosis/node()"},
+	}
+	for _, user := range []string{"laporte", "beaufort", "robert"} {
+		for _, op := range ops {
+			ref, h, p := paperEnv(t)
+			doc := ref.Clone()
+			want, _, wantErr := Execute(ref, h, p, user, op)
+			pm, err := p.EvaluateShared(doc, h, user, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			v := view.Materialize(doc, pm)
+			v.Doc.Freeze()
+			before := v.Doc.XML()
+			got, err := ApplyOnView(context.Background(), doc, pm, v, op, nil)
+			if (err == nil) != (wantErr == nil) || !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s %s by %s: ApplyOnView %+v, %v; Execute %+v, %v", op.Kind, op.Select, user, got, err, want, wantErr)
+			}
+			if !xmltree.Equal(doc, ref) {
+				t.Fatalf("%s %s by %s: documents differ", op.Kind, op.Select, user)
+			}
+			if v.Doc.XML() != before {
+				t.Fatalf("%s %s by %s: ApplyOnView changed the view", op.Kind, op.Select, user)
+			}
+		}
 	}
 }

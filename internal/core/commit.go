@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"time"
 
 	"securexml/internal/obs"
@@ -20,10 +21,16 @@ var (
 	commitLatency   = obs.Default().Histogram("xmlsec_commit_latency_seconds", obs.LatencyBuckets)
 	generationSeq   = obs.Default().Gauge("xmlsec_generation_seq")
 	generationAge   = obs.Default().Histogram("xmlsec_generation_age_seconds", obs.LatencyBuckets)
+
+	cloneStage   = obs.Stage("commit_clone")
+	publishStage = obs.Stage("commit_publish")
 )
 
 // commitReq is one write waiting in the group-commit queue.
 type commitReq struct {
+	// ctx is the submitter's request context: the round's publish is
+	// traced into it.
+	ctx context.Context
 	// apply runs on the leader goroutine against the round's scratch
 	// state; it communicates results to the submitter through captured
 	// variables (the done close is the happens-before edge).
@@ -57,15 +64,32 @@ type commitCtx struct {
 	// batches are the delta batches recorded by successful updates this
 	// round, in order (post-replacement only, when docReset is set).
 	batches []deltaBatch
+
+	// writers carries each writing user's permissions and view across
+	// the round's requests (see carry.go); it dies with the round.
+	writers map[string]*writerState
 }
 
 // mutableDoc returns the round's scratch document, cloning the base
-// snapshot on first use.
-func (c *commitCtx) mutableDoc() *xmltree.Document {
+// snapshot on first use (traced as commit_clone into ctx, the request
+// that pays for it). The span carries no node count: that would reveal
+// the size of the hidden part of the document (§2.2).
+func (c *commitCtx) mutableDoc(ctx context.Context) *xmltree.Document {
 	if c.doc == nil {
+		_, sp := obs.StartSpanCtx(ctx, "commit_clone", cloneStage)
 		c.doc = c.base.doc.Clone()
+		sp.End()
 	}
 	return c.doc
+}
+
+// curDoc returns the document a request in this round must read: the
+// scratch document once one exists, the base snapshot otherwise.
+func (c *commitCtx) curDoc() *xmltree.Document {
+	if c.doc != nil {
+		return c.doc
+	}
+	return c.base.doc
 }
 
 // mutableSubjects returns the round's scratch hierarchy, cloning on first
@@ -103,15 +127,16 @@ func (c *commitCtx) curPolicy() *policy.Policy {
 	return c.base.policy
 }
 
-// submit enqueues fn into the group-commit queue and blocks until the
-// round containing it has been published (or discarded, for a round of
-// failures). The first writer to arrive becomes the leader: it drains the
-// queue in rounds, applying each round's requests sequentially with no
-// lock held, publishing ONE generation per round, and closing every done
-// channel after the atomic store — so a writer that returns always sees
-// its own write in the next gen() load (read-your-writes).
-func (db *Database) submit(fn func(c *commitCtx)) {
-	req := &commitReq{apply: fn, done: make(chan struct{})}
+// submit enqueues fn, on behalf of the request ctx, into the group-commit
+// queue and blocks until the round containing it has been published (or
+// discarded, for a round of failures). The first writer to arrive becomes
+// the leader: it drains the queue in rounds, applying each round's
+// requests sequentially with no lock held, publishing ONE generation per
+// round, and closing every done channel after the atomic store — so a
+// writer that returns always sees its own write in the next gen() load
+// (read-your-writes).
+func (db *Database) submit(ctx context.Context, fn func(c *commitCtx)) {
+	req := &commitReq{ctx: ctx, apply: fn, done: make(chan struct{})}
 	db.commitMu.Lock()
 	db.queue = append(db.queue, req)
 	if db.leader {
@@ -139,11 +164,25 @@ func (db *Database) submit(fn func(c *commitCtx)) {
 func (db *Database) commitRound(round []*commitReq) {
 	start := time.Now()
 	base := db.current.Load()
-	c := &commitCtx{db: db, base: base, docGen: base.docGen, epoch: base.epoch}
+	c := &commitCtx{db: db, base: base, docGen: base.docGen, epoch: base.epoch, writers: make(map[string]*writerState)}
 	for _, r := range round {
 		r.apply(c)
 	}
+	// Every request of the round waits on the one publish, so each trace
+	// gets its own commit_publish span; the stage histogram counts the
+	// publish once.
+	spans := make([]obs.Span, len(round))
+	for i, r := range round {
+		h := publishStage
+		if i > 0 {
+			h = nil
+		}
+		_, spans[i] = obs.StartSpanCtx(r.ctx, "commit_publish", h)
+	}
 	db.publish(c)
+	for i := range spans {
+		spans[i].End()
+	}
 	commitBatchSize.Observe(float64(len(round)))
 	commitLatency.Observe(time.Since(start).Seconds())
 	for _, r := range round {

@@ -263,7 +263,7 @@ func (db *Database) LoadXML(r io.Reader) error {
 	if err != nil {
 		return err
 	}
-	db.submit(func(c *commitCtx) {
+	db.submit(context.Background(), func(c *commitCtx) {
 		c.doc = doc
 		c.docGen++
 		c.docReset = true
@@ -331,7 +331,7 @@ func Open(r io.Reader, opts ...Option) (*Database, error) {
 // (sharing the document pointer — admin-only rounds copy no tree).
 func (db *Database) AddRole(name string, parents ...string) error {
 	var err error
-	db.submit(func(c *commitCtx) {
+	db.submit(context.Background(), func(c *commitCtx) {
 		if err = c.mutableSubjects().AddRole(name, parents...); err != nil {
 			return
 		}
@@ -345,7 +345,7 @@ func (db *Database) AddRole(name string, parents ...string) error {
 // AddUser declares a user belonging to the given roles.
 func (db *Database) AddUser(name string, roles ...string) error {
 	var err error
-	db.submit(func(c *commitCtx) {
+	db.submit(context.Background(), func(c *commitCtx) {
 		if err = c.mutableSubjects().AddUser(name, roles...); err != nil {
 			return
 		}
@@ -359,7 +359,7 @@ func (db *Database) AddUser(name string, roles ...string) error {
 // Grant appends an accept rule (latest priority, §4.3 discipline).
 func (db *Database) Grant(priv policy.Privilege, path, subj string) error {
 	var err error
-	db.submit(func(c *commitCtx) {
+	db.submit(context.Background(), func(c *commitCtx) {
 		if err = c.mutablePolicy().Grant(c.curSubjects(), priv, path, subj); err != nil {
 			return
 		}
@@ -373,7 +373,7 @@ func (db *Database) Grant(priv policy.Privilege, path, subj string) error {
 // Revoke appends a deny rule (latest priority).
 func (db *Database) Revoke(priv policy.Privilege, path, subj string) error {
 	var err error
-	db.submit(func(c *commitCtx) {
+	db.submit(context.Background(), func(c *commitCtx) {
 		if err = c.mutablePolicy().Revoke(c.curSubjects(), priv, path, subj); err != nil {
 			return
 		}
@@ -387,7 +387,7 @@ func (db *Database) Revoke(priv policy.Privilege, path, subj string) error {
 // AddRule inserts a rule with an explicit priority.
 func (db *Database) AddRule(r policy.Rule) error {
 	var err error
-	db.submit(func(c *commitCtx) {
+	db.submit(context.Background(), func(c *commitCtx) {
 		if err = c.mutablePolicy().Add(c.curSubjects(), r); err != nil {
 			return
 		}
@@ -641,14 +641,30 @@ func (s *Session) currentView(ctx context.Context, g *generation) (*view.View, e
 // view was derived from (the Explain layer re-reads the same cell the
 // production path served).
 func (s *Session) currentViewPerms(ctx context.Context, g *generation) (*view.View, *policy.Perms, error) {
+	e, _, err := s.currentEntry(ctx, g, false)
+	if err != nil {
+		return nil, nil, err
+	}
+	return e.v, e.pm, nil
+}
+
+// currentEntry returns the session's published cache entry for the pinned
+// generation g, building it as currentView describes, and how it was
+// served. The entry is frozen; callers must not mutate it. With warmOnly,
+// a session that holds no entry at all stays cold and currentEntry
+// returns nil: the write path uses the cache but never grows it.
+func (s *Session) currentEntry(ctx context.Context, g *generation, warmOnly bool) (*viewEntry, carrySource, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	ver, epoch, gen := g.ver(), g.epoch, g.docGen
 	e := s.entry
+	if e == nil && warmOnly {
+		return nil, 0, nil
+	}
 	if e != nil && e.gen == gen && e.ver == ver && e.epoch == epoch {
 		cacheHits.Inc()
 		obs.AnnotateCtx(ctx, "view_source", "cache_hit")
-		return e.v, e.pm, nil
+		return e, carryCacheHit, nil
 	}
 	if e != nil && e.gen == gen && e.epoch == epoch && e.ver < ver {
 		if ne := s.tryIncremental(ctx, g, e); ne != nil {
@@ -656,7 +672,7 @@ func (s *Session) currentViewPerms(ctx context.Context, g *generation) (*view.Vi
 			// package — neither a plain hit nor a materializing miss.
 			s.entry = ne
 			obs.AnnotateCtx(ctx, "view_source", "incremental")
-			return ne.v, ne.pm, nil
+			return ne, carryIncremental, nil
 		}
 		// A hard patch error poisoned the entry (tryIncremental set
 		// s.entry = nil) so the rebuild below starts cold.
@@ -675,12 +691,13 @@ func (s *Session) currentViewPerms(ctx context.Context, g *generation) (*view.Vi
 	}
 	pm, err := g.policy.EvaluateSharedCtx(ctx, g.doc, g.subjects, s.user, g.ruleCache())
 	if err != nil {
-		return nil, nil, err
+		return nil, 0, err
 	}
 	v := view.MaterializeCtx(ctx, g.doc, pm)
 	v.Doc.Freeze()
-	s.entry = &viewEntry{v: v, pm: pm, ver: ver, epoch: epoch, gen: gen}
-	return v, pm, nil
+	ne := &viewEntry{v: v, pm: pm, ver: ver, epoch: epoch, gen: gen}
+	s.entry = ne
+	return ne, carryRederive, nil
 }
 
 // tryIncremental builds a fresh cache entry by patching a copy of e from
@@ -692,12 +709,8 @@ func (s *Session) currentViewPerms(ctx context.Context, g *generation) (*view.Vi
 // permissions, so readers concurrently serving from e are undisturbed.
 // Callers hold s.mu.
 func (s *Session) tryIncremental(ctx context.Context, g *generation, e *viewEntry) *viewEntry {
-	if !s.maintReady || s.maintEpoch != e.epoch {
-		s.maint, _ = view.NewMaintainer(g.policy, g.subjects, s.user)
-		s.maintEpoch = e.epoch
-		s.maintReady = true
-	}
-	if s.maint == nil {
+	m := s.maintainerLocked(g.policy, g.subjects, e.epoch)
+	if m == nil {
 		incFallbackIneligible.Inc()
 		obs.AnnotateCtx(ctx, "incremental_fallback", "ineligible")
 		return nil
@@ -711,7 +724,7 @@ func (s *Session) tryIncremental(ctx context.Context, g *generation, e *viewEntr
 	v := e.v.Snapshot()
 	pm := e.pm.Clone()
 	for _, deltas := range chain {
-		if err := s.maint.ApplyCtx(ctx, v, g.doc, pm, deltas); err != nil {
+		if err := m.ApplyCtx(ctx, v, g.doc, pm, deltas); err != nil {
 			// The entry's coordinates no longer have a usable continuation;
 			// poison the cache so the rebuild starts cold instead of
 			// retrying a failing patch on every request.
@@ -723,6 +736,25 @@ func (s *Session) tryIncremental(ctx context.Context, g *generation, e *viewEntr
 	}
 	v.Doc.Freeze()
 	return &viewEntry{v: v, pm: pm, ver: g.ver(), epoch: e.epoch, gen: e.gen}
+}
+
+// maintainerLocked returns the session's incremental maintainer for
+// policy epoch, compiling it from pol and h when the epoch moved. nil means
+// the policy is not chain-only for the user. Callers hold s.mu.
+func (s *Session) maintainerLocked(pol *policy.Policy, h *subject.Hierarchy, epoch uint64) *view.Maintainer {
+	if !s.maintReady || s.maintEpoch != epoch {
+		s.maint, _ = view.NewMaintainer(pol, h, s.user)
+		s.maintEpoch = epoch
+		s.maintReady = true
+	}
+	return s.maint
+}
+
+// maintainer is maintainerLocked for callers that do not hold s.mu.
+func (s *Session) maintainer(pol *policy.Policy, h *subject.Hierarchy, epoch uint64) *view.Maintainer {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.maintainerLocked(pol, h, epoch)
 }
 
 // View returns an independent snapshot of the user's current view. The
@@ -1118,15 +1150,25 @@ func (s *Session) Update(op *xupdate.Op) (*xupdate.Result, error) {
 }
 
 // UpdateCtx is Update with a request context (request ID into the audit
-// entry, duration into the telemetry registry).
+// entry, duration into the telemetry registry). The session_update span
+// covers the queue wait plus execution, the latency the caller actually
+// experiences.
 func (s *Session) UpdateCtx(ctx context.Context, op *xupdate.Op) (*xupdate.Result, error) {
-	res, err := s.updateWithVars(ctx, op, nil)
-	if err == nil && s.db.journal != nil && res.Applied > 0 {
+	ctx, sp := obs.StartSpanCtx(ctx, "session_update", updateStage)
+	var res *xupdate.Result
+	var err error
+	s.db.submit(ctx, func(c *commitCtx) {
+		res, err = s.execOp(ctx, &sp, c, op, nil)
+	})
+	if err != nil {
+		return nil, err
+	}
+	if s.db.journal != nil && res.Applied > 0 {
 		if jerr := s.journalOp(ctx, op); jerr != nil {
 			return res, fmt.Errorf("core: operation applied but journaling failed: %w", jerr)
 		}
 	}
-	return res, err
+	return res, nil
 }
 
 // journalOp appends a single-operation modification document.
@@ -1139,38 +1181,41 @@ func (s *Session) journalOp(ctx context.Context, op *xupdate.Op) error {
 	return err
 }
 
-// updateWithVars executes one secured operation through the group-commit
-// queue. The closure runs on the commit leader's goroutine against the
-// round's scratch document clone; the span therefore measures queue wait
-// plus execution, which is the latency the caller actually experiences.
-func (s *Session) updateWithVars(ctx context.Context, op *xupdate.Op, extra xpath.Vars) (*xupdate.Result, error) {
-	ctx, sp := obs.StartSpanCtx(ctx, "session_update", updateStage)
-	var res *xupdate.Result
-	var err error
-	s.db.submit(func(c *commitCtx) {
-		doc := c.mutableDoc()
-		fromVer := doc.Version()
-		res, _, err = access.ExecuteWithVarsCtx(ctx, doc, c.curSubjects(), c.curPolicy(), s.user, op, extra)
-		if err != nil {
-			// A failed executor may have partially mutated the scratch
-			// document; no batch is recorded, so if the round still
-			// publishes (another write succeeded), the version gap forces
-			// session caches to re-materialize (deltaChain reports it).
-			sessionOp("update", "error")
-			s.db.recordCtx(ctx, "update", s.user, opDetail(op), "error: "+err.Error(), sp.End())
-			return
-		}
-		if toVer := doc.Version(); toVer != fromVer {
-			c.batches = append(c.batches, deltaBatch{fromVer: fromVer, toVer: toVer, deltas: res.Deltas})
-		}
-		sessionOp("update", "ok")
-		s.db.recordCtx(ctx, "update", s.user, opDetail(op),
-			fmt.Sprintf("selected=%d applied=%d skipped=%d", res.Selected, res.Applied, len(res.Skipped)),
-			sp.End())
-	})
-	if err != nil {
+// execOp executes one secured operation inside a commit round, on the
+// leader goroutine: the targets are selected on the writer's carried view
+// of the round's document (writerView) and applied to the round's scratch
+// clone. sp is the operation's session_update span, ended here for the
+// audit entry's duration.
+func (s *Session) execOp(ctx context.Context, sp *obs.Span, c *commitCtx, op *xupdate.Op, env xpath.Vars) (*xupdate.Result, error) {
+	fail := func(err error) (*xupdate.Result, error) {
+		sessionOp("update", "error")
+		s.db.recordCtx(ctx, "update", s.user, opDetail(op), "error: "+err.Error(), sp.End())
 		return nil, err
 	}
+	if err := access.Check(c.curSubjects(), s.user, op); err != nil {
+		return fail(err)
+	}
+	doc := c.mutableDoc(ctx)
+	fromVer := doc.Version()
+	pm, v, err := c.writerView(ctx, s)
+	if err != nil {
+		return fail(err)
+	}
+	res, err := access.ApplyOnView(ctx, doc, pm, v, op, env)
+	if err != nil {
+		// A failed executor may have partially mutated the scratch
+		// document; no batch is recorded, so the version gap forces every
+		// carried view and session cache to re-derive (chainFrom reports
+		// it).
+		return fail(err)
+	}
+	if toVer := doc.Version(); toVer != fromVer {
+		c.batches = append(c.batches, deltaBatch{fromVer: fromVer, toVer: toVer, deltas: res.Deltas})
+	}
+	sessionOp("update", "ok")
+	s.db.recordCtx(ctx, "update", s.user, opDetail(op),
+		fmt.Sprintf("selected=%d applied=%d skipped=%d", res.Selected, res.Applied, len(res.Skipped)),
+		sp.End())
 	return res, nil
 }
 
@@ -1213,38 +1258,51 @@ func anyApplied(results []*xupdate.Result) bool {
 }
 
 // apply executes a modification document without journaling (used by Apply
-// and by journal replay).
+// and by journal replay). The whole document is one commit request: its
+// operations share the round's document clone and the writer's carried
+// view, and xupdate:variable bindings are evaluated on that view as the
+// earlier operations left it. Execution stops at the first hard error;
+// the operations before it stay applied.
 func (s *Session) apply(ctx context.Context, modifications string) ([]*xupdate.Result, error) {
 	ops, err := xupdate.ParseModificationsString(modifications)
 	if err != nil {
 		return nil, err
 	}
-	env := xpath.Vars{}
 	results := make([]*xupdate.Result, 0, len(ops))
-	for _, op := range ops {
-		if op.Kind == xupdate.Variable {
-			if err := op.Validate(); err != nil {
-				return results, err
+	s.db.submit(ctx, func(c *commitCtx) {
+		env := xpath.Vars{}
+		for _, op := range ops {
+			if op.Kind == xupdate.Variable {
+				var val xpath.Value
+				if val, err = s.bindVariable(ctx, c, op, env); err != nil {
+					return
+				}
+				env[op.VarName()] = val
+				results = append(results, &xupdate.Result{})
+				continue
 			}
-			v, err := s.ViewCtx(ctx)
-			if err != nil {
-				return results, err
+			opCtx, sp := obs.StartSpanCtx(ctx, "session_update", updateStage)
+			var res *xupdate.Result
+			if res, err = s.execOp(opCtx, &sp, c, op, env); err != nil {
+				return
 			}
-			val, err := op.BindVariable(v.Doc.Root(), mergeUser(env, s.user))
-			if err != nil {
-				return results, err
-			}
-			env[op.VarName()] = val
-			results = append(results, &xupdate.Result{})
-			continue
+			results = append(results, res)
 		}
-		res, err := s.updateWithVars(ctx, op, env)
-		if err != nil {
-			return results, err
-		}
-		results = append(results, res)
+	})
+	return results, err
+}
+
+// bindVariable evaluates an xupdate:variable binding on the writer's
+// carried view of the round's document.
+func (s *Session) bindVariable(ctx context.Context, c *commitCtx, op *xupdate.Op, env xpath.Vars) (xpath.Value, error) {
+	if err := op.Validate(); err != nil {
+		return nil, err
 	}
-	return results, nil
+	_, v, err := c.writerView(ctx, s)
+	if err != nil {
+		return nil, err
+	}
+	return op.BindVariable(v.Doc.Root(), mergeUser(env, s.user))
 }
 
 // mergeUser returns env plus the $USER binding.

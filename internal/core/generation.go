@@ -83,9 +83,16 @@ const deltaLogCap = 256
 // mutated the document without recording a batch (e.g. an executor error
 // after partial application).
 func (g *generation) deltaChain(from uint64) ([][]xupdate.Delta, bool) {
+	return chainFrom(g.log, from, g.ver())
+}
+
+// chainFrom collects the deltas of the batches that lead contiguously from
+// document version from to version to, oldest first; ok=false when the
+// batches do not cover that range without a gap.
+func chainFrom(batches []deltaBatch, from, to uint64) ([][]xupdate.Delta, bool) {
 	cur := from
 	var out [][]xupdate.Delta
-	for _, b := range g.log {
+	for _, b := range batches {
 		if b.toVer <= cur {
 			continue
 		}
@@ -95,7 +102,7 @@ func (g *generation) deltaChain(from uint64) ([][]xupdate.Delta, bool) {
 		out = append(out, b.deltas)
 		cur = b.toVer
 	}
-	if cur != g.ver() {
+	if cur != to {
 		return nil, false
 	}
 	return out, true

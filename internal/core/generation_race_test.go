@@ -8,6 +8,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -157,7 +158,7 @@ func TestGroupCommitCoalescesRound(t *testing.T) {
 		defer leaderDone.Done()
 		// A no-op request: it occupies the leader slot until released and
 		// publishes nothing (a round without changes is discarded).
-		db.submit(func(c *commitCtx) {
+		db.submit(context.Background(), func(c *commitCtx) {
 			close(entered)
 			<-stall
 		})

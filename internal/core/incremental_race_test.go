@@ -106,6 +106,24 @@ func TestIncrementalViewRaceStress(t *testing.T) {
 		}
 	}()
 
+	// Writer 3: the doctor again, through the session the readers share,
+	// with two-operation documents: each round seeds its carried view from
+	// the cache entry the readers are serving, and the second operation
+	// patches a private copy of it.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < iters; i++ {
+			if _, err := shared["laporte"].Apply(fmt.Sprintf(`<xupdate:modifications version="1.0" xmlns:xupdate="http://www.xmldb.org/xupdate">
+				<xupdate:append select="/patients/franck/diagnosis"><note>n%d</note></xupdate:append>
+				<xupdate:update select="/patients/franck/diagnosis/note">c%d</xupdate:update>
+			</xupdate:modifications>`, i, i)); err != nil {
+				fail(err)
+				return
+			}
+		}
+	}()
+
 	// Administrator: periodic policy churn forces epoch misses between
 	// incremental applies, exercising the rebuild/recompile transition.
 	wg.Add(1)

@@ -158,3 +158,44 @@ func TestSlowTraceThresholdOption(t *testing.T) {
 		t.Fatal("server must not install a process default tracer")
 	}
 }
+
+// TestUpdateTraceShowsWritePath checks that a POST /update trace breaks
+// the write down into the commit round's spans — clone, carried view,
+// publish — and that a writer whose view is cached selects on it without
+// running the reference evaluator or a full materialization.
+func TestUpdateTraceShowsWritePath(t *testing.T) {
+	ts := testServer(t)
+	if code, _ := get(t, ts, "laporte", "/view"); code != http.StatusOK {
+		t.Fatalf("/view = %d", code)
+	}
+	req, err := http.NewRequest(http.MethodPost, ts.URL+"/update", strings.NewReader(
+		`<xupdate:modifications version="1.0" xmlns:xupdate="http://www.xmldb.org/xupdate">
+		  <xupdate:update select="/patients/franck/diagnosis">pharyngitis</xupdate:update>
+		</xupdate:modifications>`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.SetBasicAuth("laporte", "")
+	resp, err := ts.Client().Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/update = %d", resp.StatusCode)
+	}
+	code, body := get(t, ts, "", "/trace/"+resp.Header.Get("X-Request-Id"))
+	if code != http.StatusOK {
+		t.Fatalf("/trace = %d: %s", code, body)
+	}
+	for _, want := range []string{`"name":"commit_clone"`, `"name":"view_carry"`, `"source":"cache_hit"`, `"name":"commit_publish"`, `"name":"secured_apply"`} {
+		if !strings.Contains(body, want) {
+			t.Errorf("update trace missing %s:\n%s", want, body)
+		}
+	}
+	for _, unwanted := range []string{`"name":"policy_evaluate"`, `"name":"view_materialize"`} {
+		if strings.Contains(body, unwanted) {
+			t.Errorf("warm update trace contains %s:\n%s", unwanted, body)
+		}
+	}
+}

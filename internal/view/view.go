@@ -62,12 +62,15 @@ func Materialize(src *xmltree.Document, pm *policy.Perms) *View {
 // accounting.
 func MaterializeCtx(ctx context.Context, src *xmltree.Document, pm *policy.Perms) *View {
 	_, sp := obs.StartSpanCtx(ctx, "view_materialize", matStage)
-	v := &View{
-		Doc:           xmltree.New(src.Scheme()),
-		User:          pm.User(),
-		SourceVersion: src.Version(),
-	}
-	copySelected(v, pm, src.Root(), v.Doc.Root())
+	v := &View{User: pm.User(), SourceVersion: src.Version()}
+	v.Doc = src.Project(func(n *xmltree.Node, id string) (string, bool) {
+		label, sel := selectLabelID(pm, n, id)
+		if label == xmltree.Restricted && sel {
+			v.Restricted++
+		}
+		return label, sel
+	})
+	v.Hidden = src.Len() - v.Doc.Len()
 	sp.AnnotateInt("nodes", int64(v.Doc.Len()))
 	sp.AnnotateInt("restricted", int64(v.Restricted))
 	sp.AnnotateInt("hidden", int64(v.Hidden))
@@ -79,67 +82,24 @@ func MaterializeCtx(ctx context.Context, src *xmltree.Document, pm *policy.Perms
 	return v
 }
 
-// copySelected walks the source children of srcParent and adds the selected
-// ones under dstParent, recursing only below selected nodes.
-func copySelected(v *View, pm *policy.Perms, srcParent, dstParent *xmltree.Node) {
-	for _, a := range srcParent.Attributes() {
-		label, sel := selectLabel(pm, a)
-		if !sel {
-			v.Hidden += countNodes(a)
-			continue
-		}
-		dst := mirrorNode(v.Doc, dstParent, a, label)
-		if label == xmltree.Restricted {
-			v.Restricted++
-		}
-		copySelected(v, pm, a, dst)
-	}
-	for _, c := range srcParent.Children() {
-		label, sel := selectLabel(pm, c)
-		if !sel {
-			v.Hidden += countNodes(c)
-			continue
-		}
-		dst := mirrorNode(v.Doc, dstParent, c, label)
-		if label == xmltree.Restricted {
-			v.Restricted++
-		}
-		copySelected(v, pm, c, dst)
-	}
-}
-
 // selectLabel decides visibility of one node: (original label, true) with
 // read; (RESTRICTED, true) with position only (axiom 17); ("", false)
 // otherwise.
 func selectLabel(pm *policy.Perms, n *xmltree.Node) (string, bool) {
+	return selectLabelID(pm, n, n.ID().String())
+}
+
+// selectLabelID is selectLabel for a node whose identifier string the
+// caller already holds.
+func selectLabelID(pm *policy.Perms, n *xmltree.Node, id string) (string, bool) {
 	switch {
-	case pm.Has(n, policy.Read):
+	case pm.HasID(id, policy.Read):
 		return n.Label(), true
-	case pm.Has(n, policy.Position):
+	case pm.HasID(id, policy.Position):
 		return xmltree.Restricted, true
 	default:
 		return "", false
 	}
-}
-
-// mirrorNode appends a copy of src (with the possibly RESTRICTED label)
-// under dstParent, preserving the persistent identifier. Mirroring happens
-// in document order under a parent owned by the view, so it cannot fail.
-func mirrorNode(doc *xmltree.Document, dstParent, src *xmltree.Node, label string) *xmltree.Node {
-	n, err := doc.MirrorChild(dstParent, src.Kind(), label, src.ID())
-	if err != nil {
-		panic("view: internal mirroring invariant violated: " + err.Error())
-	}
-	return n
-}
-
-func countNodes(n *xmltree.Node) int {
-	total := 0
-	n.Walk(func(*xmltree.Node) bool {
-		total++
-		return true
-	})
-	return total
 }
 
 // Snapshot returns an independent deep copy of the view. Incremental

@@ -175,7 +175,9 @@ func (d *Document) newChildNode(parent *Node, kind Kind, label string, lo, hi *N
 
 // MirrorChild appends a node under parent that carries a caller-supplied
 // persistent identifier instead of a freshly allocated one. It exists for
-// view materialization (§4.4.1): view nodes keep the source document's
+// rebuilding documents whose identifiers must survive (§3.1): snapshot
+// restore, and the reference form of view materialization that Project
+// implements in one pass — view nodes keep the source document's
 // identifiers so that write operations selected on the view can be mapped
 // back to source nodes. The identifier must be a child identifier of
 // parent's and must be greater than the identifier of the last child (or
@@ -585,6 +587,75 @@ func cloneUnder(c *Document, arena *[]Node, dst, src *Node) {
 			cloneUnder(c, arena, nk, k)
 		}
 	}
+}
+
+// Project returns a new document holding the nodes of d that keep
+// selects, with identifiers preserved and labels as keep chooses. keep
+// sees each node below the document node in document order (an element's
+// attributes before its children) together with its identifier string,
+// and returns the copy's label and whether to keep the node. A node that
+// is not kept takes its whole subtree with it: keep is not called below
+// it. The result is the same document as mirroring every kept node with
+// MirrorChild, in document order, but built in one pass like Clone:
+// nodes come from an arena and each identifier is rendered once.
+//
+// Unlike Clone, Project sizes nothing from d, since a projection may keep
+// a handful of nodes out of many: the arena grows in blocks and every
+// child list is allocated at its final length.
+func (d *Document) Project(keep func(n *Node, id string) (label string, ok bool)) *Document {
+	p := &Document{
+		scheme: d.scheme,
+		index:  make(map[string]*Node),
+		names:  make(map[string]map[*Node]struct{}),
+	}
+	arena := make([]Node, 1)
+	p.root = &arena[0]
+	*p.root = Node{kind: KindDocument, label: "/", id: labeling.DocumentLabel, doc: p}
+	p.index["/"] = p.root
+	var stack []*Node
+	var walk func(dst, src *Node)
+	// project builds the kept nodes of srcs under dst, collecting them in
+	// a window of stack, and returns them at their final length.
+	project := func(dst *Node, srcs []*Node) []*Node {
+		base := len(stack)
+		for _, s := range srcs {
+			id := s.id.String()
+			label, ok := keep(s, id)
+			if !ok {
+				continue
+			}
+			n := arenaNode(&arena)
+			*n = Node{kind: s.kind, label: label, id: s.id, parent: dst, doc: p}
+			p.index[id] = n
+			if n.kind == KindElement {
+				set := p.names[label]
+				if set == nil {
+					set = make(map[*Node]struct{})
+					p.names[label] = set
+				}
+				set[n] = struct{}{}
+			}
+			p.version++
+			stack = append(stack, n)
+			walk(n, s)
+		}
+		if len(stack) == base {
+			return nil
+		}
+		out := append([]*Node(nil), stack[base:]...)
+		stack = stack[:base]
+		return out
+	}
+	walk = func(dst, src *Node) {
+		if len(src.attrs) > 0 {
+			dst.attrs = project(dst, src.attrs)
+		}
+		if len(src.children) > 0 {
+			dst.children = project(dst, src.children)
+		}
+	}
+	walk(p.root, d.root)
+	return p
 }
 
 // arenaNode hands out the next node from the arena, growing it in fresh
