@@ -1,11 +1,12 @@
 package securexml_test
 
-// The performance study of EXPERIMENTS.md (experiments B1–B6 in DESIGN.md).
+// The performance study of EXPERIMENTS.md (experiments B1–B9 in DESIGN.md).
 // The paper itself has no empirical evaluation; these benchmarks provide
 // the scaling characterization of each design decision the model forces:
 // view materialization cost, XPath axis costs, secured-vs-unsecured write
-// overhead, labeling scheme behaviour, logic-vs-native engine gap, and
-// conflict resolution scaling.
+// overhead, labeling scheme behaviour, logic-vs-native engine gap,
+// conflict resolution scaling, query filtering vs views, the session
+// layer's cache and journal, and the XSLT security processor.
 
 import (
 	"fmt"

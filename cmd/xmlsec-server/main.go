@@ -48,6 +48,30 @@ func attachJournal(db *core.Database, path string, seqStart uint64) error {
 	return nil
 }
 
+// Connection deadlines, so a slow or stalled client cannot hold a
+// connection open indefinitely. They are sized generously: the write
+// deadline covers serializing a 25k-node GET /view and a 30 s pprof CPU
+// profile.
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = time.Minute
+	writeTimeout      = 2 * time.Minute
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer wraps handler in an http.Server with the connection
+// deadlines set.
+func newHTTPServer(addr string, handler http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           handler,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		WriteTimeout:      writeTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	snapshot := flag.String("snapshot", "", "serve a database restored from this snapshot file")
@@ -141,7 +165,7 @@ func main() {
 	}
 	st := db.Stats()
 	fmt.Printf("listening on %s (%d nodes, %d rules, %d users); metrics on /metrics\n", *addr, st.Nodes, st.Rules, st.Users)
-	if err := http.ListenAndServe(*addr, server.New(db, opts...)); err != nil {
+	if err := newHTTPServer(*addr, server.New(db, opts...)).ListenAndServe(); err != nil {
 		fatal(err)
 	}
 }

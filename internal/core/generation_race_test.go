@@ -10,6 +10,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -146,9 +147,34 @@ func TestGenerationPinnedSnapshotIsolation(t *testing.T) {
 // TestGroupCommitCoalescesRound stalls the commit leader so three
 // concurrent writes pile up in the queue, then verifies the whole round is
 // published as exactly ONE new generation — with every write present and
-// each writer seeing its own write at return (read-your-writes).
+// each writer seeing its own write at return (read-your-writes). While the
+// round is stalled, a reader whose view covers the appended nodes must
+// finish query, value and view reads against the pre-round generation:
+// readers never wait on writers.
 func TestGroupCommitCoalescesRound(t *testing.T) {
 	db := hospital(t)
+	// The doctor reads everything, so the appended <wN/> nodes are in view.
+	doctor := session(t, db, "laporte")
+	readW0 := func() (int, error) {
+		ctx := context.Background()
+		rs, err := doctor.QueryCtx(ctx, "//w0")
+		if err != nil {
+			return 0, err
+		}
+		v, err := doctor.QueryValueCtx(ctx, "count(//w0)")
+		if err != nil {
+			return 0, err
+		}
+		xml, err := doctor.ViewXMLCtx(ctx)
+		if err != nil {
+			return 0, err
+		}
+		n := int(v.Num())
+		if len(rs) != n || strings.Count(xml, "<w0") != n {
+			return 0, fmt.Errorf("reads disagree: query found %d, count(//w0) = %d, view holds %d", len(rs), n, strings.Count(xml, "<w0"))
+		}
+		return n, nil
+	}
 
 	stall := make(chan struct{})
 	entered := make(chan struct{})
@@ -215,12 +241,32 @@ func TestGroupCommitCoalescesRound(t *testing.T) {
 	}
 
 	seq0 := db.gen().seq
+	read := make(chan error, 1)
+	go func() {
+		n, err := readW0()
+		if err == nil && n != 0 {
+			err = fmt.Errorf("reader saw %d <w0/> before the round was released, want the pre-round generation", n)
+		}
+		read <- err
+	}()
+	select {
+	case err := <-read:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("reader blocked behind the stalled commit round")
+	}
+
 	close(stall)
 	wg.Wait()
 	leaderDone.Wait()
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
+	}
+	if n, err := readW0(); err != nil || n != 1 {
+		t.Fatalf("after the round: reader saw %d <w0/> (err %v), want 1", n, err)
 	}
 
 	if got := db.gen().seq; got != seq0+1 {

@@ -73,8 +73,8 @@ type Histogram struct {
 
 	exMu sync.Mutex
 	// exID and exV are the series' max-latency exemplar — the trace ID and
-	// value of the largest traced observation since the last reset; both
-	// are guarded by exMu.
+	// value of the largest traced observation so far; both are guarded
+	// by exMu.
 	exID string
 	exV  float64
 }
@@ -146,9 +146,9 @@ func (h *Histogram) Quantile(q float64) float64 {
 }
 
 // noteExemplar records a traced observation, keeping the largest value
-// seen since the last reset so a p99 outlier on /metrics links back to
-// the trace that produced it. Only traced spans call it, so untraced hot
-// paths never touch the exemplar mutex.
+// seen so a p99 outlier on /metrics links back to the trace that produced
+// it. Only traced spans call it, so untraced hot paths never touch the
+// exemplar mutex.
 func (h *Histogram) noteExemplar(v float64, traceID string) {
 	if traceID == "" {
 		return
@@ -161,23 +161,11 @@ func (h *Histogram) noteExemplar(v float64, traceID string) {
 }
 
 // Exemplar returns the max-latency exemplar's trace ID and value; ok is
-// false when no traced observation has been recorded since the last
-// reset.
+// false when no traced observation has been recorded.
 func (h *Histogram) Exemplar() (traceID string, v float64, ok bool) {
 	h.exMu.Lock()
 	defer h.exMu.Unlock()
 	return h.exID, h.exV, h.exID != ""
-}
-
-func (h *Histogram) reset() {
-	for i := range h.counts {
-		h.counts[i].Store(0)
-	}
-	h.total.Store(0)
-	h.sumBits.Store(0)
-	h.exMu.Lock()
-	h.exID, h.exV = "", 0
-	h.exMu.Unlock()
 }
 
 type kind uint8
@@ -287,23 +275,6 @@ func (r *Registry) get(name string, k kind, labels []string, buckets []float64) 
 	}
 	r.series[id] = s
 	return s
-}
-
-// Reset zeroes every series in place. Handles held by instrumented packages
-// stay valid. Intended for the bench harness and tests.
-func (r *Registry) Reset() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, s := range r.series {
-		switch s.kind {
-		case kindCounter:
-			s.counter.v.Store(0)
-		case kindGauge:
-			s.gauge.v.Store(0)
-		case kindHistogram:
-			s.hist.reset()
-		}
-	}
 }
 
 // canonicalLabels copies the pairs and sorts them by key so label order at

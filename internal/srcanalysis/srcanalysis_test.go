@@ -230,12 +230,11 @@ func TestRepoSelfScan(t *testing.T) {
 			t.Errorf("unexpected finding: %s/%s %s %s key=%q", f.Pass, f.Code, f.Pos, f.Message, f.Key)
 		}
 	}
-	// The committed baseline's 5 entries cover exactly the 6 intentionally
+	// The committed baseline's 2 entries cover exactly the 3 intentionally
 	// unsecured call sites (the two covertchannel probes share one entry):
-	// the B3 write-floor pair, the B15 differential mirror, and the §2.2
-	// covert-channel demos.
-	if rep.Suppressed != 6 {
-		t.Errorf("suppressed = %d, want 6 (update this with vet-baseline.json)", rep.Suppressed)
+	// the §2.2 covert-channel demos.
+	if rep.Suppressed != 3 {
+		t.Errorf("suppressed = %d, want 3 (update this with vet-baseline.json)", rep.Suppressed)
 	}
 	if rep.ExitCode() != 0 {
 		t.Errorf("exit code = %d, want 0", rep.ExitCode())
