@@ -54,8 +54,9 @@ race:
 perfbench-test:
 	cd _perfbench && $(GO) test ./...
 
-# Micro-benchmark smoke: run every B1–B9 testing.B benchmark once so none
-# of them rots (go test ./... compiles them but never runs them).
+# Micro-benchmark smoke: run every testing.B benchmark in bench_test.go
+# (B1–B9 and BenchmarkGuardedRead) once so none of them rots (go test ./...
+# compiles them but never runs them).
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x .
 

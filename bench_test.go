@@ -6,7 +6,8 @@ package securexml_test
 // view materialization cost, XPath axis costs, secured-vs-unsecured write
 // overhead, labeling scheme behaviour, logic-vs-native engine gap,
 // conflict resolution scaling, query filtering vs views, the session
-// layer's cache and journal, and the XSLT security processor.
+// layer's cache and journal, and the XSLT security processor — plus the
+// rewrite tier's guarded reads (BenchmarkGuardedRead).
 
 import (
 	"fmt"
@@ -21,6 +22,7 @@ import (
 	"securexml/internal/logicmodel"
 	"securexml/internal/policy"
 	"securexml/internal/qfilter"
+	"securexml/internal/rewrite"
 	"securexml/internal/subject"
 	"securexml/internal/view"
 	"securexml/internal/workload"
@@ -361,6 +363,55 @@ func BenchmarkQueryFilter(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// --- Guarded reads: the rewrite tier's guard tables --------------------------------
+
+// BenchmarkGuardedRead measures one rewrite-tier query on the source
+// document under its guard (internal/rewrite), for a patient (whose table
+// prunes every other patient's subtree) and a doctor (who reads nearly the
+// whole document). warm: the user's table for the newest snapshot is
+// cached, so each visited node costs a slice index. cold: the reader is
+// pinned to a superseded snapshot, so every call fills a fresh table with
+// one walk of the rule bank — what each user pays once per published
+// generation.
+func BenchmarkGuardedRead(b *testing.B) {
+	d, h, p := mustHospital(b, 1000, 2)
+	older := d.Clone()
+	older.Freeze()
+	newest := d.Clone()
+	newest.Freeze() // frozen last: the newest snapshot
+	eng := rewrite.NewEngine(p, h)
+	for _, c := range []struct{ name, user, query string }{
+		{"patient", "p17", "/patients/p17/diagnosis/text()"},
+		{"staff", "laporte", "//diagnosis/text()"},
+	} {
+		pg, reason := eng.ProgramFor(c.user)
+		if pg == nil {
+			b.Fatalf("%s: no rewrite program (%v)", c.user, reason)
+		}
+		pl, err := pg.PlanFor(c.query)
+		if err != nil || pl.Mode != rewrite.PlanGuarded {
+			b.Fatalf("%s: plan %v, err %v; want a guarded plan", c.query, pl, err)
+		}
+		vars := xpath.Vars{"USER": xpath.String(c.user)}
+		pg.SecurityFor(c.user, vars, newest)
+		for _, temp := range []struct {
+			name string
+			snap *xmltree.Document
+		}{{"warm", newest}, {"cold", older}} {
+			b.Run(c.name+"/"+temp.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					sec, st := pg.SecurityFor(c.user, vars, temp.snap)
+					ns, err := pl.Select(temp.snap.Root(), vars, sec)
+					if err != nil || st.Err() != nil || len(ns) == 0 {
+						b.Fatalf("%d nodes, err %v / %v", len(ns), err, st.Err())
+					}
+				}
+			})
+		}
 	}
 }
 

@@ -144,10 +144,30 @@ func countTier(t Tier) {
 	}
 }
 
-// sessionOp counts one session operation by name and outcome (ok | error).
-func sessionOp(op, outcome string) {
-	obs.Default().Counter("xmlsec_session_ops_total", "op", op, "outcome", outcome).Inc()
+// sessionOps holds one session operation's xmlsec_session_ops_total
+// counters by outcome, resolved once so counting a query takes no
+// registry lock.
+type sessionOps struct{ ok, fail *obs.Counter }
+
+func newSessionOps(op string) sessionOps {
+	r := obs.Default()
+	return sessionOps{
+		ok:   r.Counter("xmlsec_session_ops_total", "op", op, "outcome", "ok"),
+		fail: r.Counter("xmlsec_session_ops_total", "op", op, "outcome", "error"),
+	}
 }
+
+// Telemetry: session operations by outcome.
+var (
+	opsView       = newSessionOps("view")
+	opsQuery      = newSessionOps("query")
+	opsQueryValue = newSessionOps("query_value")
+	opsUpdate     = newSessionOps("update")
+	opsApply      = newSessionOps("apply")
+	opsTransform  = newSessionOps("transform")
+	opsExplain    = newSessionOps("explain")
+	opsWarm       = newSessionOps("warm")
+)
 
 // Errors returned by core operations.
 var (
@@ -563,6 +583,9 @@ type viewEntry struct {
 type Session struct {
 	db   *Database
 	user string
+	// bindings holds the session's XPath variables ($USER). Built once:
+	// it is read-only and shared by every query of the session.
+	bindings xpath.Vars
 
 	mu    sync.Mutex
 	entry *viewEntry
@@ -583,7 +606,7 @@ func (db *Database) Session(user string) (*Session, error) {
 	if kind != subject.User {
 		return nil, fmt.Errorf("%w: %q is a role", ErrNotUser, user)
 	}
-	return &Session{db: db, user: user}, nil
+	return &Session{db: db, user: user, bindings: xpath.Vars{"USER": xpath.String(user)}}, nil
 }
 
 // SharedSession returns the database's singleton session for user,
@@ -619,10 +642,9 @@ func (db *Database) SharedSession(user string) (*Session, error) {
 // User returns the session's login.
 func (s *Session) User() string { return s.user }
 
-// vars returns the XPath bindings of the session ($USER, §4.3).
-func (s *Session) vars() xpath.Vars {
-	return xpath.Vars{"USER": xpath.String(s.user)}
-}
+// vars returns the XPath bindings of the session ($USER, §4.3). The map
+// is shared and must not be modified.
+func (s *Session) vars() xpath.Vars { return s.bindings }
 
 // currentView returns the session's view of the pinned generation g,
 // rebuilding it only when the document or the policy changed since the
@@ -772,12 +794,12 @@ func (s *Session) ViewCtx(ctx context.Context) (*view.View, error) {
 	ctx, sp := obs.StartSpanCtx(ctx, "session_view", viewStage)
 	v, err := s.currentView(ctx, s.db.gen())
 	if err != nil {
-		sessionOp("view", "error")
+		opsView.fail.Inc()
 		s.db.recordCtx(ctx, "view", s.user, "", "error: "+err.Error(), sp.End())
 		return nil, err
 	}
 	sp.End()
-	sessionOp("view", "ok")
+	opsView.ok.Inc()
 	return v.Snapshot(), nil
 }
 
@@ -792,12 +814,12 @@ func (s *Session) ViewXMLCtx(ctx context.Context) (string, error) {
 	ctx, sp := obs.StartSpanCtx(ctx, "session_view", viewStage)
 	v, err := s.currentView(ctx, s.db.gen())
 	if err != nil {
-		sessionOp("view", "error")
+		opsView.fail.Inc()
 		s.db.recordCtx(ctx, "view", s.user, "", "error: "+err.Error(), sp.End())
 		return "", err
 	}
 	sp.End()
-	sessionOp("view", "ok")
+	opsView.ok.Inc()
 	return v.Doc.XML(), nil
 }
 
@@ -860,14 +882,14 @@ func (s *Session) QueryTierCtx(ctx context.Context, path string, forced Tier) ([
 	ctx, sp := obs.StartSpanCtx(ctx, "session_query", queryStage)
 	g := s.db.gen()
 	fail := func(tier Tier, err error) ([]Result, Tier, error) {
-		sessionOp("query", "error")
+		opsQuery.fail.Inc()
 		s.db.recordCtx(ctx, "query", s.user, path, "error: "+err.Error(), sp.End())
 		return nil, tier, err
 	}
 	done := func(tier Tier, out []Result) ([]Result, Tier, error) {
 		countTier(tier)
 		sp.Annotate("query_tier", tier.String())
-		sessionOp("query", "ok")
+		opsQuery.ok.Inc()
 		s.db.recordCtx(ctx, "query", s.user, path, fmt.Sprintf("%d nodes", len(out)), sp.End())
 		return out, tier, nil
 	}
@@ -1024,14 +1046,14 @@ func (s *Session) QueryValueTierCtx(ctx context.Context, path string, forced Tie
 	ctx, sp := obs.StartSpanCtx(ctx, "session_query_value", valueStage)
 	g := s.db.gen()
 	fail := func(tier Tier, err error) (xpath.Value, Tier, error) {
-		sessionOp("query_value", "error")
+		opsQueryValue.fail.Inc()
 		s.db.recordCtx(ctx, "query_value", s.user, path, "error: "+err.Error(), sp.End())
 		return nil, tier, err
 	}
 	done := func(tier Tier, val xpath.Value) (xpath.Value, Tier, error) {
 		countTier(tier)
 		sp.Annotate("query_tier", tier.String())
-		sessionOp("query_value", "ok")
+		opsQueryValue.ok.Inc()
 		s.db.recordCtx(ctx, "query_value", s.user, path, val.TypeName(), sp.End())
 		return val, tier, nil
 	}
@@ -1188,7 +1210,7 @@ func (s *Session) journalOp(ctx context.Context, op *xupdate.Op) error {
 // audit entry's duration.
 func (s *Session) execOp(ctx context.Context, sp *obs.Span, c *commitCtx, op *xupdate.Op, env xpath.Vars) (*xupdate.Result, error) {
 	fail := func(err error) (*xupdate.Result, error) {
-		sessionOp("update", "error")
+		opsUpdate.fail.Inc()
 		s.db.recordCtx(ctx, "update", s.user, opDetail(op), "error: "+err.Error(), sp.End())
 		return nil, err
 	}
@@ -1212,7 +1234,7 @@ func (s *Session) execOp(ctx context.Context, sp *obs.Span, c *commitCtx, op *xu
 	if toVer := doc.Version(); toVer != fromVer {
 		c.batches = append(c.batches, deltaBatch{fromVer: fromVer, toVer: toVer, deltas: res.Deltas})
 	}
-	sessionOp("update", "ok")
+	opsUpdate.ok.Inc()
 	s.db.recordCtx(ctx, "update", s.user, opDetail(op),
 		fmt.Sprintf("selected=%d applied=%d skipped=%d", res.Selected, res.Applied, len(res.Skipped)),
 		sp.End())
@@ -1235,11 +1257,11 @@ func (s *Session) ApplyCtx(ctx context.Context, modifications string) ([]*xupdat
 	results, err := s.apply(ctx, modifications)
 	if err != nil {
 		sp.End()
-		sessionOp("apply", "error")
+		opsApply.fail.Inc()
 		return results, err
 	}
 	sp.End()
-	sessionOp("apply", "ok")
+	opsApply.ok.Inc()
 	if s.db.journal != nil && anyApplied(results) {
 		if _, jerr := s.db.journal.AppendCtx(ctx, s.user, modifications); jerr != nil {
 			return results, fmt.Errorf("core: modifications applied but journaling failed: %w", jerr)
@@ -1387,23 +1409,23 @@ func (s *Session) TransformCtx(ctx context.Context, stylesheet string) (string, 
 	sheet, err := xslt.ParseStylesheet(stylesheet)
 	if err != nil {
 		sp.End()
-		sessionOp("transform", "error")
+		opsTransform.fail.Inc()
 		return "", err
 	}
 	g := s.db.gen()
 	pm, err := g.policy.EvaluateSharedCtx(ctx, g.doc, g.subjects, s.user, g.ruleCache())
 	if err != nil {
 		sp.End()
-		sessionOp("transform", "error")
+		opsTransform.fail.Inc()
 		return "", err
 	}
 	out, err := sheet.TransformString(g.doc, s.vars(), qfilter.ForPerms(pm))
 	if err != nil {
-		sessionOp("transform", "error")
+		opsTransform.fail.Inc()
 		s.db.recordCtx(ctx, "transform", s.user, "stylesheet", "error: "+err.Error(), sp.End())
 		return "", err
 	}
-	sessionOp("transform", "ok")
+	opsTransform.ok.Inc()
 	s.db.recordCtx(ctx, "transform", s.user, "stylesheet", fmt.Sprintf("%d bytes", len(out)), sp.End())
 	return out, nil
 }

@@ -84,19 +84,19 @@ func (s *Session) ExplainCtx(ctx context.Context, path string) (*Explanation, er
 	g := s.db.gen()
 	v, pm, err := s.currentViewPerms(ctx, g)
 	if err != nil {
-		sessionOp("explain", "error")
+		opsExplain.fail.Inc()
 		s.db.recordCtx(ctx, "explain", s.user, path, "error: "+err.Error(), sp.End())
 		return nil, err
 	}
 	ns, err := xpath.Select(g.doc, path, s.vars())
 	if err != nil {
-		sessionOp("explain", "error")
+		opsExplain.fail.Inc()
 		s.db.recordCtx(ctx, "explain", s.user, path, "error: "+err.Error(), sp.End())
 		return nil, err
 	}
 	stories, applicable, err := g.policy.Explain(g.doc, g.subjects, s.user, ns)
 	if err != nil {
-		sessionOp("explain", "error")
+		opsExplain.fail.Inc()
 		s.db.recordCtx(ctx, "explain", s.user, path, "error: "+err.Error(), sp.End())
 		return nil, err
 	}
@@ -114,7 +114,7 @@ func (s *Session) ExplainCtx(ctx context.Context, path string) (*Explanation, er
 		}
 		ex.Nodes = append(ex.Nodes, ne)
 	}
-	sessionOp("explain", "ok")
+	opsExplain.ok.Inc()
 	s.db.recordCtx(ctx, "explain", s.user, path,
 		fmt.Sprintf("%d nodes, consistent=%t", len(ex.Nodes), ex.Consistent), sp.End())
 	return ex, nil

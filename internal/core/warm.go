@@ -22,11 +22,11 @@ func (s *Session) Warm(ctx context.Context) error {
 	start := time.Now()
 	_, err := s.currentView(ctx, s.db.gen())
 	if err != nil {
-		sessionOp("warm", "error")
+		opsWarm.fail.Inc()
 		s.db.recordCtx(ctx, "warm", s.user, "", "error: "+err.Error(), time.Since(start))
 		return err
 	}
-	sessionOp("warm", "ok")
+	opsWarm.ok.Inc()
 	return nil
 }
 

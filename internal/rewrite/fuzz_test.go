@@ -57,7 +57,7 @@ func FuzzRewrite(f *testing.F) {
 				}
 				continue
 			}
-			got, reason, err := rewriteAnswer(pg, d.Root(), u, query)
+			got, reason, err := rewriteAnswer(pg, d, u, query)
 			if err != nil {
 				t.Fatalf("user %s: plan error on a compilable query: %v", u, err)
 			}

@@ -32,7 +32,7 @@ func metaAnswer(t *testing.T, eng *rewrite.Engine, root *xmltree.Node, user, q s
 	if pg == nil {
 		t.Fatalf("user %s: unexpected fallback (%v)", user, reason)
 	}
-	rows, reason, err := rewriteAnswer(pg, root, user, q)
+	rows, reason, err := rewriteAnswer(pg, root.Document(), user, q)
 	if err != nil {
 		t.Fatalf("user %s query %s: %v", user, q, err)
 	}
@@ -185,7 +185,7 @@ func metaIDs(t *testing.T, eng *rewrite.Engine, root *xmltree.Node, user, q stri
 	vars := xpath.Vars{"USER": xpath.String(user)}
 	var sec *xpath.Security
 	if pl.Mode == rewrite.PlanGuarded {
-		sec, _ = pg.Security(vars)
+		sec, _ = pg.SecurityFor(user, vars, root.Document())
 	}
 	if pl.Mode == rewrite.PlanEmpty {
 		return map[string]bool{}

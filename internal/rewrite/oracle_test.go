@@ -180,9 +180,11 @@ func renderValue(val xpath.Value, sec *xpath.Security) []string {
 	return []string{val.TypeName() + " " + val.Str()}
 }
 
-// rewriteAnswer evaluates q for user through the engine's plan, returning
-// the rendered answer or the fallback reason a real caller would count.
-func rewriteAnswer(pg *rewrite.Program, root *xmltree.Node, user, q string) ([]string, rewrite.Reason, error) {
+// rewriteAnswer evaluates q for user through the engine's plan on the
+// frozen snapshot snap, the way internal/core serves it (guard tables
+// from SecurityFor), returning the rendered answer or the fallback reason
+// a real caller would count.
+func rewriteAnswer(pg *rewrite.Program, snap *xmltree.Document, user, q string) ([]string, rewrite.Reason, error) {
 	pl, err := pg.PlanFor(q)
 	if err != nil {
 		return nil, rewrite.ReasonNone, err
@@ -195,9 +197,9 @@ func rewriteAnswer(pg *rewrite.Program, root *xmltree.Node, user, q string) ([]s
 		return nil, rewrite.ReasonNone, nil
 	case rewrite.PlanTransparent:
 	default:
-		sec, st = pg.Security(vars)
+		sec, st = pg.SecurityFor(user, vars, snap)
 	}
-	val, err := pl.Eval(root, vars, sec)
+	val, err := pl.Eval(snap.Root(), vars, sec)
 	if err != nil || (st != nil && st.Err() != nil) {
 		return nil, rewrite.ReasonEvalError, nil
 	}
@@ -229,6 +231,8 @@ func runRewrite(t *testing.T, seed int64, kind string, ops []*xupdate.Op) (int, 
 	eng := rewrite.NewEngine(p, h)
 	queries := append(append([]string{}, roQueries...), roValueQueries...)
 	check := func() string {
+		snap := d.Clone() // the published generation a reader would pin
+		snap.Freeze()
 		for _, u := range h.Users() {
 			pg, reason := eng.ProgramFor(u)
 			if pg == nil {
@@ -243,7 +247,7 @@ func runRewrite(t *testing.T, seed int64, kind string, ops []*xupdate.Op) (int, 
 			}
 			v := view.Materialize(d, pm)
 			for _, q := range queries {
-				got, reason, err := rewriteAnswer(pg, d.Root(), u, q)
+				got, reason, err := rewriteAnswer(pg, snap, u, q)
 				if err != nil {
 					return fmt.Sprintf("user %s query %s: %v", u, q, err)
 				}

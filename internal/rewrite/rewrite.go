@@ -11,9 +11,11 @@
 // The supported fragment is the chain-only xpath.NodeMatcher fragment of
 // the user's applicable read and position rules: each such rule decides a
 // node's membership from the node's root-to-node chain alone, so the
-// axiom-14 latest-priority merge for {read, position} can be re-run per
-// visited node in O(depth × steps) during evaluation — the per-node
-// permission relation never exists as data. Rules for the write privileges
+// axiom-14 latest-priority merge for {read, position} can be decided
+// top-down, each node from its parent's automaton state. One walk of the
+// profile's rule bank fills a per-(user, snapshot) guard table holding
+// just those two bits per node (see SecurityFor); the full permission
+// relation never exists as data. Rules for the write privileges
 // (insert, update, delete) are irrelevant to reads and never disqualify a
 // profile; this is deliberately weaker than the incremental-maintenance
 // gate (view.NewMaintainer), which needs *all* applicable rules chain-only.
@@ -216,14 +218,18 @@ func (e *Engine) ProgramFor(user string) (*Program, Reason) {
 // abstractions for static classification, and the per-query plan cache.
 type Program struct {
 	rules       []ruleInfo
+	bank        *xpath.Bank      // the rules' matchers, indexed like rules
 	acceptPats  []*xpath.Pattern // patterns of the accept rules (visibility over-approximation)
 	transparent bool
 
 	mu    sync.Mutex
 	plans map[string]*Plan
 
-	secMu sync.Mutex
-	secs  map[string]*userSec
+	// Guard tables for the newest frozen snapshot the program has served,
+	// one per user; see SecurityFor.
+	tabMu  sync.Mutex
+	tabSeq uint64                 // that snapshot's xmltree FreezeSeq
+	tabs   map[string]*guardTable // by user
 }
 
 // buildProgram compiles the profile selected by idx, or returns nil when
@@ -236,11 +242,14 @@ func buildProgram(rules []ruleInfo, idx []int) *Program {
 		}
 		pg.rules = append(pg.rules, rules[i])
 	}
+	ms := make([]*xpath.NodeMatcher, len(pg.rules))
 	for i := range pg.rules {
+		ms[i] = pg.rules[i].matcher
 		if pg.rules[i].effect == policy.Accept {
 			pg.acceptPats = append(pg.acceptPats, pg.rules[i].pattern)
 		}
 	}
+	pg.bank = xpath.NewBank(ms)
 	pg.transparent = pg.checkTransparent()
 	return pg
 }
@@ -397,7 +406,7 @@ func (pg *Program) provablyEmpty(qp *xpath.Pattern) bool {
 }
 
 // Select evaluates the plan as a node-set query over root (the source
-// document node) under sec. Pass the Security from Program.Security for
+// document node) under sec. Pass the Security from Program.SecurityFor for
 // guarded plans and nil for transparent ones.
 func (pl *Plan) Select(root *xmltree.Node, vars xpath.Vars, sec *xpath.Security) (xpath.NodeSet, error) {
 	return pl.c.SelectFiltered(root, vars, sec)
@@ -408,39 +417,34 @@ func (pl *Plan) Eval(root *xmltree.Node, vars xpath.Vars, sec *xpath.Security) (
 	return pl.c.EvalFiltered(root, vars, sec)
 }
 
-// EvalState carries the runtime outcome of one guarded evaluation: if any
-// rule matcher failed, the evaluation's answer is unusable and the caller
-// must fall back (ReasonEvalError).
+// EvalState carries the runtime outcome of one guarded evaluation: if the
+// guard table fill or any rule matcher failed, the evaluation's answer is
+// unusable and the caller must fall back (ReasonEvalError).
 type EvalState struct{ err error }
 
 // Err returns the first matcher error, if any.
 func (st *EvalState) Err() error { return st.err }
 
 // Visibility mask bits: position admits a node into the view with the
-// RESTRICTED label (axiom 17), read with its own label (axiom 16).
+// RESTRICTED label (axiom 17), read with its own label (axiom 16). A guard
+// table entry also carries maskFilled, which tells a decided node from one
+// the fill never reached.
 const (
 	maskPosition = 1 << 0
 	maskRead     = 1 << 1
+	maskFilled   = 1 << 2
 )
 
-// ruleMask re-runs the axiom-14 latest-priority merge for {read, position}
-// on one node and folds the two surviving decisions into a visibility
-// mask. It is the single source of truth for both the per-evaluation
-// Security memo and the cross-request SecurityFor cache.
-func (pg *Program) ruleMask(n *xmltree.Node, vars xpath.Vars) (uint8, error) {
+// foldMask runs the axiom-14 latest-priority merge for {read, position}
+// over the indices of the rules selecting one node, given in ascending
+// order, and folds the two surviving decisions into a visibility mask.
+func (pg *Program) foldMask(hits []int) uint8 {
 	var posSet, readSet bool
 	var posEff, readEff policy.Effect
-	// Ascending priority: a later match overwrites, so the survivor
-	// is the latest-priority decision (axiom 14).
-	for i := range pg.rules {
+	// Ascending priority: a later match overwrites, so the survivor is
+	// the latest-priority decision (axiom 14).
+	for _, i := range hits {
 		ri := &pg.rules[i]
-		ok, err := ri.matcher.Match(n, vars)
-		if err != nil {
-			return 0, fmt.Errorf("rewrite: %s: %w", ri.text, err)
-		}
-		if !ok {
-			continue
-		}
 		if ri.priv == policy.Read {
 			readSet, readEff = true, ri.effect
 		} else {
@@ -454,102 +458,132 @@ func (pg *Program) ruleMask(n *xmltree.Node, vars xpath.Vars) (uint8, error) {
 	if readSet && readEff == policy.Accept {
 		m |= maskRead
 	}
-	return m, nil
+	return m
 }
 
-// secFromMask wraps a mask function into the xpath filter: a node is
-// visible with read or position (axioms 16–17) and shows its own label
-// only with read; the document node is always visible with its own label
-// (axiom 15).
-func secFromMask(mask func(*xmltree.Node) uint8) *xpath.Security {
-	return &xpath.Security{
-		Visible: func(n *xmltree.Node) bool {
-			if n.Kind() == xmltree.KindDocument {
-				return true
-			}
-			return mask(n) != 0
-		},
-		Label: func(n *xmltree.Node) string {
-			if n.Kind() == xmltree.KindDocument {
-				return n.Label()
-			}
-			if mask(n)&maskRead != 0 {
-				return n.Label()
-			}
-			return xmltree.Restricted
-		},
-	}
-}
-
-// Security builds the chain-derived filter for one evaluation with the
-// given variable bindings ($USER must be bound). Visibility and labels
-// re-run the axiom-14 latest-priority merge for {read, position} per node,
-// memoized for the evaluation; a node is visible with read or position
-// (axioms 16–17) and shows its own label only with read. The document
-// node is always visible with its own label (axiom 15).
-//
-// The returned Security and state are single-use and single-goroutine:
-// the memo is not locked. For a memo that survives the evaluation and is
-// shared across concurrent requests, use SecurityFor.
-func (pg *Program) Security(vars xpath.Vars) (*xpath.Security, *EvalState) {
-	st := &EvalState{}
-	memo := make(map[*xmltree.Node]uint8)
-	mask := func(n *xmltree.Node) uint8 {
-		if m, ok := memo[n]; ok {
-			return m
+// ruleMask decides one node on its own: every rule's matcher re-walks the
+// node's root-to-node chain. It is the per-node reference the guard tables
+// are tested against, and the fallback for nodes a table does not cover.
+func (pg *Program) ruleMask(n *xmltree.Node, vars xpath.Vars) (uint8, error) {
+	var buf [16]int
+	hits := buf[:0]
+	for i := range pg.rules {
+		ri := &pg.rules[i]
+		ok, err := ri.matcher.Match(n, vars)
+		if err != nil {
+			return 0, fmt.Errorf("rewrite: %s: %w", ri.text, err)
 		}
-		m, err := pg.ruleMask(n, vars)
-		if err != nil && st.err == nil {
-			st.err = err
+		if ok {
+			hits = append(hits, i)
 		}
-		memo[n] = m
-		return m
 	}
-	return secFromMask(mask), st
+	return pg.foldMask(hits), nil
 }
 
-// userSec is one user's cross-request mask memo, valid for exactly one
-// source-document snapshot. Frozen snapshots make node identity stable, so
-// the memo never needs invalidation finer than "the snapshot moved" — the
-// whole entry is replaced then. The sync.Map is safe for the concurrent
-// readers of one generation.
-type userSec struct {
-	snap *xmltree.Document
-	memo sync.Map // *xmltree.Node → uint8
+// guardTable holds one user's visibility masks for one snapshot, indexed
+// by xmltree ordinal. It holds no node or document pointer, so a cached
+// table never keeps a superseded generation alive.
+type guardTable struct {
+	once sync.Once
+	mask []uint8 // maskFilled|mask per ordinal; 0 = not reached by the fill
+	err  error
 }
 
-// secCacheCap bounds the per-program user cache; when the population of
-// distinct users outgrows it the whole cache is reset rather than evicted
-// piecewise (rebuilding a memo costs one rule sweep per visited node).
+// fill decides every node of snap the guard evaluation can reach in one
+// top-down walk of the program's rule bank: each node's NFA states come
+// from its parent's, so no chain is re-walked and no rule is re-compiled.
+// The walk stops below every node with mask 0 — hereditary hiding
+// (axioms 15–17) means the evaluator never enters such a subtree — and
+// below a visible node whose rules are all dead it still decides the
+// children (as hidden), since the evaluator tests each child's visibility.
+func (pg *Program) fill(snap *xmltree.Document, vars xpath.Vars) ([]uint8, error) {
+	tab := make([]uint8, snap.OrdBound())
+	err := pg.bank.Visit(snap, vars, func(n *xmltree.Node, hits []int, _ bool) bool {
+		m := pg.foldMask(hits)
+		tab[n.Ord()] = m | maskFilled
+		return m != 0 || n.Kind() == xmltree.KindDocument
+	})
+	if err != nil {
+		return nil, fmt.Errorf("rewrite: guard table: %w", err)
+	}
+	return tab, nil
+}
+
+// secCacheCap bounds the users whose tables a program keeps for its
+// snapshot; when the population outgrows it the whole set is dropped
+// rather than evicted piecewise (a table costs one walk to rebuild).
 const secCacheCap = 4096
 
-// SecurityFor is Security with a memo shared across requests: masks
-// computed for (user, snapshot) are reused by every concurrent evaluation
-// of the same user against the same frozen document, so the axiom-14 rule
-// sweep runs once per visited node per generation instead of once per
-// request. Programs are already built per policy epoch, so the (user,
-// epoch) keying the issue asks for falls out of (Program, user); the
-// snapshot pointer invalidates the memo across document generations.
+// table returns the user's guard table for snap, filled. The program
+// caches tables for one snapshot only — the newest frozen one it has been
+// asked about, by xmltree FreezeSeq — and a newer snapshot drops them all.
+// The first caller for a (user, snapshot) fills the table; concurrent
+// callers wait for that one fill. An unfrozen snapshot, or one older than
+// the cached one (a reader still pinned to a superseded generation), gets
+// a table of its own that is not cached and evicts nothing. A fill that
+// errors leaves nothing cached.
+func (pg *Program) table(user string, vars xpath.Vars, snap *xmltree.Document) *guardTable {
+	seq := snap.FreezeSeq()
+	var t *guardTable
+	pg.tabMu.Lock()
+	if seq != 0 && seq >= pg.tabSeq {
+		if seq > pg.tabSeq || pg.tabs == nil || len(pg.tabs) >= secCacheCap {
+			pg.tabSeq, pg.tabs = seq, make(map[string]*guardTable)
+		}
+		if t = pg.tabs[user]; t == nil {
+			t = &guardTable{}
+			pg.tabs[user] = t
+		}
+	}
+	pg.tabMu.Unlock()
+	if t == nil {
+		t = &guardTable{}
+		t.mask, t.err = pg.fill(snap, vars)
+		return t
+	}
+	t.once.Do(func() { t.mask, t.err = pg.fill(snap, vars) })
+	if t.err != nil {
+		pg.tabMu.Lock()
+		if pg.tabs[user] == t {
+			delete(pg.tabs, user)
+		}
+		pg.tabMu.Unlock()
+	}
+	return t
+}
+
+// SecurityFor builds the chain-derived filter for guarded evaluations of
+// user's queries on snap ($USER must be bound in vars): a node is visible
+// with read or position (axioms 16–17) and shows its own label only with
+// read; the document node is always visible with its own label (axiom
+// 15). The decisions come from the user's guard table for the snapshot,
+// filled by one top-down walk of the rule bank on first use and shared by
+// every concurrent evaluation of the same user against the same frozen
+// snapshot, so a visited node's decision costs one slice index. Programs
+// are already built per policy epoch, so (Program, user, snapshot) keys
+// the table completely.
 //
-// vars must carry the user's own bindings only ($USER) — the memo is keyed
-// by user identity, so request-specific bindings would poison it. The
-// returned Security is safe for concurrent use; the EvalState is per-call.
-// Matcher errors are reported through the state and never memoized.
+// A node the table does not cover — below a hidden ancestor, where the
+// guarded evaluator never goes, or from another document — is decided by
+// ruleMask on its own, so the filter answers every node correctly.
+//
+// vars must carry the user's own bindings only ($USER) — tables are keyed
+// by user identity, so request-specific bindings would poison them. The
+// returned Security is valid while snap is unchanged (always, for a frozen
+// snapshot) and safe for concurrent use; the EvalState is per-call. A
+// failed fill is reported through the state and never cached.
 func (pg *Program) SecurityFor(user string, vars xpath.Vars, snap *xmltree.Document) (*xpath.Security, *EvalState) {
-	pg.secMu.Lock()
-	if pg.secs == nil || len(pg.secs) >= secCacheCap {
-		pg.secs = make(map[string]*userSec)
-	}
-	e := pg.secs[user]
-	if e == nil || e.snap != snap {
-		e = &userSec{snap: snap}
-		pg.secs[user] = e
-	}
-	pg.secMu.Unlock()
 	st := &EvalState{}
+	t := pg.table(user, vars, snap)
+	if t.err != nil {
+		st.err = t.err
+	}
+	tab := t.mask
 	mask := func(n *xmltree.Node) uint8 {
-		if m, ok := e.memo.Load(n); ok {
-			return m.(uint8)
+		if n.Document() == snap {
+			if o := n.Ord(); o < len(tab) && tab[o]&maskFilled != 0 {
+				return tab[o] &^ maskFilled
+			}
 		}
 		m, err := pg.ruleMask(n, vars)
 		if err != nil {
@@ -558,8 +592,18 @@ func (pg *Program) SecurityFor(user string, vars xpath.Vars, snap *xmltree.Docum
 			}
 			return 0
 		}
-		e.memo.Store(n, m)
 		return m
 	}
-	return secFromMask(mask), st
+	sec := &xpath.Security{
+		Visible: func(n *xmltree.Node) bool {
+			return n.Kind() == xmltree.KindDocument || mask(n) != 0
+		},
+		Label: func(n *xmltree.Node) string {
+			if n.Kind() == xmltree.KindDocument || mask(n)&maskRead != 0 {
+				return n.Label()
+			}
+			return xmltree.Restricted
+		},
+	}
+	return sec, st
 }

@@ -338,7 +338,7 @@ func TestGuardedSecurityRestriction(t *testing.T) {
 	if pg == nil {
 		t.Fatal("profile fell back")
 	}
-	sec, st := pg.Security(xpath.Vars{"USER": xpath.String("laporte")})
+	sec, st := pg.SecurityFor("laporte", xpath.Vars{"USER": xpath.String("laporte")}, d)
 	var restricted, hidden, kept int
 	for _, n := range d.Nodes() {
 		switch {
@@ -369,7 +369,7 @@ func TestGuardedSecurityRestriction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sec2, st2 := pg.Security(xpath.Vars{"USER": xpath.String("laporte")})
+	sec2, st2 := pg.SecurityFor("laporte", xpath.Vars{"USER": xpath.String("laporte")}, d)
 	ns, err := pl.Select(d.Root(), xpath.Vars{"USER": xpath.String("laporte")}, sec2)
 	if err != nil || st2.Err() != nil {
 		t.Fatalf("guarded select: %v / %v", err, st2.Err())

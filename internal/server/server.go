@@ -148,6 +148,11 @@ func (s *Server) handle(pattern, endpoint string, h http.HandlerFunc) {
 	inFlight := s.reg.Gauge("xmlsec_http_in_flight")
 	hist := s.reg.Histogram("xmlsec_http_request_duration_seconds", obs.LatencyBuckets,
 		"endpoint", endpoint)
+	var requests [numStatusClasses]*obs.Counter
+	for c := range requests {
+		requests[c] = s.reg.Counter("xmlsec_http_requests_total",
+			"endpoint", endpoint, "status", statusClassLabel(c))
+	}
 	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
 		reqID := obs.NewRequestID()
 		ctx := obs.WithRequestID(r.Context(), reqID)
@@ -166,10 +171,10 @@ func (s *Server) handle(pattern, endpoint string, h http.HandlerFunc) {
 		h(rec, r)
 		d := sp.End()
 		inFlight.Add(-1)
-		t.Annotate("status", statusClass(rec.status))
+		class := statusClass(rec.status)
+		t.Annotate("status", statusClassLabel(class))
 		t.Finish()
-		s.reg.Counter("xmlsec_http_requests_total",
-			"endpoint", endpoint, "status", statusClass(rec.status)).Inc()
+		requests[class].Inc()
 		if s.accessLog != nil {
 			user, _, _ := r.BasicAuth()
 			s.accessLog.Info("request",
@@ -185,20 +190,32 @@ func (s *Server) handle(pattern, endpoint string, h http.HandlerFunc) {
 	})
 }
 
+// numStatusClasses counts the classes statusClass returns: 1xx..5xx and
+// everything else.
+const numStatusClasses = 6
+
 // statusClass buckets an HTTP status into its class for the request
-// counter. Every branch returns a literal so the status label set is
-// compile-time bounded (xmlsec-vet obslabel).
-func statusClass(status int) string {
-	switch status / 100 {
-	case 1:
+// counter: 0..4 for 1xx..5xx, 5 for anything else.
+func statusClass(status int) int {
+	if c := status/100 - 1; c >= 0 && c < numStatusClasses-1 {
+		return c
+	}
+	return numStatusClasses - 1
+}
+
+// statusClassLabel names a status class. Every branch returns a literal
+// so the status label set is compile-time bounded (xmlsec-vet obslabel).
+func statusClassLabel(class int) string {
+	switch class {
+	case 0:
 		return "1xx"
-	case 2:
+	case 1:
 		return "2xx"
-	case 3:
+	case 2:
 		return "3xx"
-	case 4:
+	case 3:
 		return "4xx"
-	case 5:
+	case 4:
 		return "5xx"
 	default:
 		return "other"

@@ -19,7 +19,7 @@ import (
 //     switches over the enum and returns literals),
 //   - parameters, when every call site of the enclosing function in the
 //     whole program passes an accepted value (constant-forwarding
-//     helpers like core's sessionOp).
+//     helpers like core's newSessionOps).
 var obslabelPass = &pass{
 	name: "obslabel",
 	doc:  "metric names and label values must be compile-time bounded",

@@ -191,7 +191,7 @@ func readNode(doc *xmltree.Document, rest string) error {
 	if err != nil {
 		return fmt.Errorf("%w: node id: %v", ErrBadSnapshot, err)
 	}
-	kindNum, err := strconv.Atoi(kindText)
+	kindNum, err := strconv.ParseUint(kindText, 10, 8)
 	if err != nil {
 		return fmt.Errorf("%w: node kind %q", ErrBadSnapshot, kindText)
 	}

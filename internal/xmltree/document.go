@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync/atomic"
 
 	"securexml/internal/labeling"
 )
@@ -26,8 +27,10 @@ type Document struct {
 	index    map[string]*Node
 	names    map[string]map[*Node]struct{} // element-name index
 	version  uint64
-	fragment bool // fragments may carry several top-level nodes
-	frozen   bool // frozen documents reject every mutation (see Freeze)
+	fragment bool   // fragments may carry several top-level nodes
+	frozen   bool   // frozen documents reject every mutation (see Freeze)
+	frozenAt uint64 // FreezeSeq: process-wide freeze order, 0 until frozen
+	nextOrd  int32  // the ordinal the next registered node receives
 }
 
 // Errors returned by Document mutations.
@@ -52,6 +55,7 @@ func New(scheme labeling.Scheme) *Document {
 	}
 	d.root = &Node{kind: KindDocument, label: "/", id: labeling.DocumentLabel, doc: d}
 	d.index["/"] = d.root
+	d.nextOrd = 1
 	return d
 }
 
@@ -95,6 +99,11 @@ func (d *Document) NodeByID(id labeling.Label) *Node { return d.index[id.String(
 // node and attribute nodes.
 func (d *Document) Len() int { return len(d.index) }
 
+// OrdBound returns one more than the largest node ordinal the document has
+// handed out: every node's Ord is below it. It grows with insertions and
+// never shrinks, so a slice of OrdBound entries indexes every node.
+func (d *Document) OrdBound() int { return int(d.nextOrd) }
+
 // Nodes returns every node in document order.
 func (d *Document) Nodes() []*Node {
 	out := make([]*Node, 0, len(d.index))
@@ -123,6 +132,8 @@ func (d *Document) siblingKey(lo, hi *Node) (string, error) {
 func (d *Document) register(n *Node) {
 	d.index[n.id.String()] = n
 	n.doc = d
+	n.ord = d.nextOrd
+	d.nextOrd++
 	if n.kind == KindElement {
 		set := d.names[n.label]
 		if set == nil {
@@ -456,10 +467,27 @@ func (d *Document) checkOwned(n *Node) error {
 // session readers); lock-free readers may then traverse it without any
 // synchronization beyond the atomic generation load. Freezing is one-way —
 // obtain a mutable tree with Clone, which always returns an unfrozen copy.
-func (d *Document) Freeze() { d.frozen = true }
+// Freezing an already frozen document changes nothing.
+func (d *Document) Freeze() {
+	if !d.frozen {
+		d.frozen = true
+		d.frozenAt = freezeSeq.Add(1)
+	}
+}
+
+// freezeSeq numbers Freeze calls process-wide.
+var freezeSeq atomic.Uint64
 
 // Frozen reports whether the document has been frozen by Freeze.
 func (d *Document) Frozen() bool { return d.frozen }
+
+// FreezeSeq identifies a frozen document and orders it among all frozen
+// documents of the process: a document frozen later has a larger value,
+// and no two documents share one. It is 0 for an unfrozen document.
+// Because the value is a number, a cache can key data to a frozen
+// snapshot — and tell a newer snapshot from an older one — without
+// holding the snapshot itself alive.
+func (d *Document) FreezeSeq() uint64 { return d.frozenAt }
 
 // --- fragments and grafting -------------------------------------------------
 
@@ -562,6 +590,7 @@ func (d *Document) Clone() *Document {
 	c.root = &arena[0]
 	*c.root = Node{kind: KindDocument, label: "/", id: labeling.DocumentLabel, doc: c}
 	c.index["/"] = c.root
+	c.nextOrd = 1
 	cloneUnder(c, &arena, c.root, d.root)
 	return c
 }
@@ -612,6 +641,7 @@ func (d *Document) Project(keep func(n *Node, id string) (label string, ok bool)
 	p.root = &arena[0]
 	*p.root = Node{kind: KindDocument, label: "/", id: labeling.DocumentLabel, doc: p}
 	p.index["/"] = p.root
+	p.nextOrd = 1
 	var stack []*Node
 	var walk func(dst, src *Node)
 	// project builds the kept nodes of srcs under dst, collecting them in
@@ -625,7 +655,8 @@ func (d *Document) Project(keep func(n *Node, id string) (label string, ok bool)
 				continue
 			}
 			n := arenaNode(&arena)
-			*n = Node{kind: s.kind, label: label, id: s.id, parent: dst, doc: p}
+			*n = Node{kind: s.kind, ord: p.nextOrd, label: label, id: s.id, parent: dst, doc: p}
+			p.nextOrd++
 			p.index[id] = n
 			if n.kind == KindElement {
 				set := p.names[label]

@@ -19,8 +19,9 @@ import (
 	"securexml/internal/labeling"
 )
 
-// Kind discriminates node types.
-type Kind int
+// Kind discriminates node types. It is a byte so that Node stays within
+// its allocation size class alongside the ordinal.
+type Kind uint8
 
 // Node kinds. The paper's model has Document, Element and Text; Attribute
 // and Comment are XML-fidelity extensions.
@@ -61,6 +62,7 @@ const Restricted = "RESTRICTED"
 // Document methods, which maintain the label index and version counter.
 type Node struct {
 	kind     Kind
+	ord      int32 // dense per-document ordinal (see Ord)
 	label    string
 	id       labeling.Label
 	parent   *Node
@@ -80,6 +82,15 @@ func (n *Node) Label() string { return n.label }
 // ID returns the node's persistent identifier. The returned label must not
 // be mutated.
 func (n *Node) ID() labeling.Label { return n.id }
+
+// Ord returns the node's dense ordinal within its document: the document
+// node is 0 and every other node receives the next free ordinal when it
+// is added, so ordinals are unique, below Document.OrdBound, and stable
+// for as long as the node stays in the document. A frozen document's
+// ordinals never change, which lets callers keep per-node data in a slice
+// indexed by Ord instead of a map keyed by node. Removed nodes leave gaps;
+// Clone and Project number their copies densely in document order.
+func (n *Node) Ord() int { return int(n.ord) }
 
 // Parent returns the parent node, or nil for the document node.
 func (n *Node) Parent() *Node { return n.parent }

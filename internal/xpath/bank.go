@@ -18,7 +18,9 @@ import (
 //
 // The supported inputs are NodeMatchers (the chain-only fragment of
 // match.go); callers route expressions outside the fragment through
-// per-expression Select instead.
+// per-expression Select instead. Select collects each matcher's node set;
+// Visit exposes the walk itself, so a caller can fold every node's matches
+// into a decision derived from its parent's NFA state and prune on it.
 type Bank struct {
 	entries []bankEntry
 	n       int // number of matchers
@@ -54,30 +56,55 @@ type bankState struct {
 // The result set of matcher i equals { n : ms[i].Match(n, vars) } for the
 // matchers the bank was built over.
 func (b *Bank) Select(doc *xmltree.Document, vars Vars) ([][]*xmltree.Node, error) {
+	out := make([][]*xmltree.Node, b.n)
+	err := b.Visit(doc, vars, func(n *xmltree.Node, hits []int, live bool) bool {
+		for _, m := range hits {
+			out[m] = append(out[m], n)
+		}
+		return live
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// Visit walks doc top-down in document order (attributes before children,
+// like Node.Walk), advancing every matcher's NFA across each tree edge, and
+// calls fn once per visited node. hits lists the indices of the matchers
+// that select n — hits contains i exactly when ms[i].Match(n, vars) holds —
+// in ascending order, each once; the slice is reused after fn returns.
+// live reports whether any matcher could still select a node below n.
+//
+// fn's result decides whether the walk enters n's attributes and children:
+// each of them is visited (and reported, with hits possibly empty) only if
+// fn returned true for n. So a caller that needs a decision for every node
+// it can reach prunes on its own verdict, while one that only collects
+// matches prunes on !live. The document node is visited first.
+func (b *Bank) Visit(doc *xmltree.Document, vars Vars, fn func(n *xmltree.Node, hits []int, live bool) bool) error {
 	root := doc.Root()
 	if root == nil {
-		return nil, errNilContext
+		return errNilContext
 	}
-	w := &bankWalker{b: b, vars: vars, out: make([][]*xmltree.Node, b.n)}
+	w := &bankWalker{b: b, vars: vars, fn: fn}
 	live := make([]bankState, len(b.entries))
 	for i := range b.entries {
 		live[i] = bankState{entry: i, exact: 1} // zero steps consumed at the document node
 	}
-	if err := w.walk(root, live, 0); err != nil {
-		return nil, err
-	}
-	return w.out, nil
+	return w.walk(root, live, 0)
 }
 
-// bankWalker carries one Select's traversal state. bufs holds one reusable
+// bankWalker carries one Visit's traversal state. bufs holds one reusable
 // state slice per tree depth: the buffer filled for edge n→c is consumed
 // entirely by the recursion into c before the next sibling edge reuses it,
-// so the whole walk allocates O(depth) slices instead of O(edges).
+// so the whole walk allocates O(depth) slices instead of O(edges). hits is
+// the one reusable buffer handed to fn.
 type bankWalker struct {
 	b    *Bank
 	vars Vars
-	out  [][]*xmltree.Node
+	fn   func(n *xmltree.Node, hits []int, live bool) bool
 	bufs [][]bankState
+	hits []int
 }
 
 func (w *bankWalker) buf(depth int) []bankState {
@@ -87,33 +114,33 @@ func (w *bankWalker) buf(depth int) []bankState {
 	return w.bufs[depth][:0]
 }
 
-// walk advances the incoming states over n, records matches, and descends
-// into n's attributes and children. incoming holds, per live entry, the
-// exact bits forwarded by the parent's child/attribute transitions and the
-// gap bits propagated downward; walk owns the slice and filters it in
-// place.
+// walk advances the incoming states over n, reports n's matches, and
+// descends into n's attributes and children when fn asks for it. incoming
+// holds, per live entry, the exact bits forwarded by the parent's
+// child/attribute transitions and the gap bits propagated downward; walk
+// owns the slice and filters it in place.
 func (w *bankWalker) walk(n *xmltree.Node, incoming []bankState, depth int) error {
 	cur := incoming[:0]
+	hits := w.hits[:0]
 	for _, st := range incoming {
 		steps := w.b.entries[st.entry].steps
 		ns, matched, err := advanceAt(st, steps, n, w.vars)
 		if err != nil {
 			return err
 		}
-		if matched {
-			m := w.b.entries[st.entry].matcher
-			// Two alternatives of the same matcher can select the same node;
-			// all of n's matches are appended during this call, so a
-			// duplicate is always the previous element.
-			if k := len(w.out[m]); k == 0 || w.out[m][k-1] != n {
-				w.out[m] = append(w.out[m], n)
-			}
+		// Entries stay in ascending matcher order, so two alternatives of
+		// the same matcher selecting n are adjacent.
+		if m := w.b.entries[st.entry].matcher; matched && (len(hits) == 0 || hits[len(hits)-1] != m) {
+			hits = append(hits, m)
 		}
-		if ns.exact|ns.gap != 0 {
+		// The accept bit cannot advance further, so a state holding only
+		// it is dead below n.
+		if ns.exact&^(1<<uint(len(steps)))|ns.gap != 0 {
 			cur = append(cur, ns)
 		}
 	}
-	if len(cur) == 0 {
+	w.hits = hits
+	if !w.fn(n, hits, len(cur) > 0) {
 		return nil
 	}
 	for _, a := range n.Attributes() {
@@ -129,10 +156,10 @@ func (w *bankWalker) walk(n *xmltree.Node, incoming []bankState, depth int) erro
 	return nil
 }
 
-// descend forwards the current states across the tree edge n→c and recurses
-// when any state survives. Mirrors matchSteps' inter-node transition: gaps
-// do not cross into attribute nodes, child steps feed non-attribute
-// children, attribute steps feed attributes.
+// descend forwards the current states across the tree edge n→c and visits
+// c. Mirrors matchSteps' inter-node transition: gaps do not cross into
+// attribute nodes, child steps feed non-attribute children, attribute
+// steps feed attributes.
 func (w *bankWalker) descend(cur []bankState, c *xmltree.Node, depth int) error {
 	intoAttr := c.Kind() == xmltree.KindAttribute
 	next := w.buf(depth)
@@ -163,9 +190,6 @@ func (w *bankWalker) descend(cur []bankState, c *xmltree.Node, depth int) error 
 		}
 	}
 	w.bufs[depth] = next // keep any growth for the next edge at this depth
-	if len(next) == 0 {
-		return nil
-	}
 	return w.walk(c, next, depth+1)
 }
 

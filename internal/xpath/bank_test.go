@@ -213,3 +213,99 @@ func TestUsesVariable(t *testing.T) {
 		}
 	}
 }
+
+// TestBankVisitReportsMatchesAndPrunes: with every matcher in one bank,
+// each visited node's hits are exactly the matchers whose Match selects it,
+// ascending and once each; live is false only where no matcher can select
+// a descendant; and a node is visited exactly when fn accepted its parent.
+func TestBankVisitReportsMatchesAndPrunes(t *testing.T) {
+	d := parseBankDoc(t)
+	vars := Vars{"USER": String("franck")}
+	var ms []*NodeMatcher
+	for _, src := range bankExprs {
+		c, err := Compile(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, _ := c.NodeMatcher()
+		ms = append(ms, m)
+	}
+	// Reject robert's subtree: nothing below it may be visited.
+	visited := map[*xmltree.Node]bool{}
+	var dead []*xmltree.Node
+	err := NewBank(ms).Visit(d, vars, func(n *xmltree.Node, hits []int, live bool) bool {
+		if visited[n] {
+			t.Fatalf("%s visited twice", n.Path())
+		}
+		visited[n] = true
+		var want []int
+		for i, m := range ms {
+			ok, err := m.Match(n, vars)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ok {
+				want = append(want, i)
+			}
+		}
+		if fmt.Sprint(hits) != fmt.Sprint(want) {
+			t.Errorf("%s: hits %v, want %v", n.Path(), hits, want)
+		}
+		if !live {
+			dead = append(dead, n)
+		}
+		return n.Label() != "robert"
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range d.Nodes() {
+		p := n.Parent()
+		want := p == nil || (visited[p] && p.Label() != "robert")
+		if visited[n] != want {
+			t.Errorf("%s: visited %v, want %v", n.Path(), visited[n], want)
+		}
+	}
+	for _, n := range dead {
+		for _, k := range n.Subtree()[1:] {
+			for i, m := range ms {
+				if ok, _ := m.Match(k, vars); ok {
+					t.Errorf("%s reported dead, but %s selects descendant %s", n.Path(), bankExprs[i], k.Path())
+				}
+			}
+		}
+	}
+}
+
+// TestBankVisitReportsBelowDeadStates: a matcher that can no longer select
+// anything below a node reports live=false there, and the walk still
+// visits the node's children (with no hits) when fn accepts the node.
+func TestBankVisitReportsBelowDeadStates(t *testing.T) {
+	d := parseBankDoc(t)
+	c, err := Compile("/patients/franck")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, _ := c.NodeMatcher()
+	var below []string
+	err = NewBank([]*NodeMatcher{m}).Visit(d, nil, func(n *xmltree.Node, hits []int, live bool) bool {
+		if p := n.Parent(); p != nil && p.Label() == "franck" && p.Parent().Label() == "patients" {
+			if len(hits) != 0 || live {
+				t.Errorf("%s: hits %v live %v below the match", n.Path(), hits, live)
+			}
+			below = append(below, n.Path())
+		}
+		if n.Label() == "franck" && n.Parent().Label() == "patients" {
+			if len(hits) != 1 || live {
+				t.Errorf("franck: hits %v live %v, want [0] false", hits, live)
+			}
+		}
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(below) != 3 { // @id, service, diagnosis
+		t.Fatalf("children of franck visited: %v", below)
+	}
+}

@@ -251,6 +251,10 @@ func (p *pathExpr) indexFastPath(root *xmltree.Node, ctx *evalCtx) ([]step, Node
 func evalStep(input NodeSet, st step, ctx *evalCtx) (NodeSet, error) {
 	var merged []*xmltree.Node
 	for _, n := range input {
+		if len(st.preds) == 0 {
+			merged = appendStepNodes(merged, n, st, ctx.sec)
+			continue
+		}
 		cands := axisNodes(n, st.axis, ctx.sec)
 		cands = filterTest(cands, st.test, st.axis, ctx.sec)
 		selected := NodeSet(cands)
@@ -269,6 +273,37 @@ func evalStep(input NodeSet, st step, ctx *evalCtx) (NodeSet, error) {
 		return NodeSet(merged), nil
 	}
 	return NodeSet(xmltree.SortDocOrder(merged)), nil
+}
+
+// appendStepNodes appends to out the nodes a predicate-free step selects from
+// n, in document order. The child, attribute and descendant axes are
+// walked in place instead of through a per-node candidate slice: under a
+// security filter every visited node would otherwise allocate one, which
+// made up most of a guarded //name query's garbage.
+func appendStepNodes(out []*xmltree.Node, n *xmltree.Node, st step, sec *Security) []*xmltree.Node {
+	switch st.axis {
+	case AxisChild, AxisAttribute:
+		src := n.Children()
+		if st.axis == AxisAttribute {
+			src = n.Attributes()
+		}
+		principal := principalKind(st.axis)
+		for _, c := range src {
+			if sec.visible(c) && nodeTestOK(c, st.test, principal, sec) {
+				out = append(out, c)
+			}
+		}
+		return out
+	case AxisDescendant, AxisDescendantOrSelf:
+		if st.test.kind == testNode {
+			if st.axis == AxisDescendantOrSelf {
+				out = append(out, n)
+			}
+			collectDescendants(n, &out, sec)
+			return out
+		}
+	}
+	return append(out, filterTest(axisNodes(n, st.axis, sec), st.test, st.axis, sec)...)
 }
 
 // applyPredicate keeps the nodes for which the predicate holds. nodes must
@@ -434,34 +469,41 @@ func reverseNodes(ns []*xmltree.Node) {
 // filterTest keeps the candidates matching the node test. The principal
 // node type is Attribute for the attribute axis and Element otherwise.
 func filterTest(cands []*xmltree.Node, nt nodeTest, axis Axis, sec *Security) []*xmltree.Node {
-	principal := xmltree.KindElement
-	if axis == AxisAttribute {
-		principal = xmltree.KindAttribute
-	}
+	principal := principalKind(axis)
 	var out []*xmltree.Node
 	for _, c := range cands {
-		switch nt.kind {
-		case testNode:
+		if nodeTestOK(c, nt, principal, sec) {
 			out = append(out, c)
-		case testText:
-			if c.Kind() == xmltree.KindText {
-				out = append(out, c)
-			}
-		case testComment:
-			if c.Kind() == xmltree.KindComment {
-				out = append(out, c)
-			}
-		case testPI:
-			// Processing instructions are not stored in the model.
-		case testWildcard:
-			if c.Kind() == principal {
-				out = append(out, c)
-			}
-		case testName:
-			if c.Kind() == principal && sec.label(c) == nt.name {
-				out = append(out, c)
-			}
 		}
 	}
 	return out
+}
+
+// principalKind is the axis's principal node type: Attribute for the
+// attribute axis, Element otherwise.
+func principalKind(axis Axis) xmltree.Kind {
+	if axis == AxisAttribute {
+		return xmltree.KindAttribute
+	}
+	return xmltree.KindElement
+}
+
+// nodeTestOK applies the node test to one candidate; names compare
+// against the effective label under sec.
+func nodeTestOK(c *xmltree.Node, nt nodeTest, principal xmltree.Kind, sec *Security) bool {
+	switch nt.kind {
+	case testNode:
+		return true
+	case testText:
+		return c.Kind() == xmltree.KindText
+	case testComment:
+		return c.Kind() == xmltree.KindComment
+	case testWildcard:
+		return c.Kind() == principal
+	case testName:
+		return c.Kind() == principal && sec.label(c) == nt.name
+	default:
+		// testPI: processing instructions are not stored in the model.
+		return false
+	}
 }

@@ -266,6 +266,12 @@ func matchStepAt(st step, n *xmltree.Node, vars Vars) (bool, error) {
 		return false, nil
 	}
 	for _, p := range st.preds {
+		if want, ok := nameEqOperand(p, vars); ok {
+			if nodeName(n) != want {
+				return false, nil
+			}
+			continue
+		}
 		v, err := p.eval(&evalCtx{node: n, pos: 1, size: 1, vars: vars})
 		if err != nil {
 			return false, err
@@ -280,27 +286,51 @@ func matchStepAt(st step, n *xmltree.Node, vars Vars) (bool, error) {
 	return true, nil
 }
 
-// stepNodeOK mirrors filterTest for a single candidate: the principal node
-// type is Attribute for the attribute axis and Element otherwise.
+// nameEqOperand recognizes the predicate shapes name() = 'lit' and
+// name() = $V (either operand order) with $V bound to a String, and returns
+// the string the node's name must equal. Every other shape — including an
+// unbound or non-string variable — reports false and takes the generic
+// evaluator, which is what keeps the shortcut exact: string = string is
+// plain equality in XPath. It spares the per-node allocation of boxing
+// both operands, which dominates rules like /patients/*[name() = $USER].
+func nameEqOperand(p expr, vars Vars) (string, bool) {
+	b, ok := p.(*binaryExpr)
+	if !ok || b.op != opEq {
+		return "", false
+	}
+	other := b.r
+	if !isNameCall(b.l) {
+		if !isNameCall(b.r) {
+			return "", false
+		}
+		other = b.l
+	}
+	switch o := other.(type) {
+	case stringLit:
+		return string(o), true
+	case varRef:
+		s, ok := vars[string(o)].(String)
+		return string(s), ok
+	}
+	return "", false
+}
+
+// isNameCall matches the zero-argument name() call.
+func isNameCall(e expr) bool {
+	f, ok := e.(*funcCall)
+	return ok && f.name == "name" && len(f.args) == 0
+}
+
+// nodeName is name() of the context node under no security filter.
+func nodeName(n *xmltree.Node) string {
+	switch n.Kind() {
+	case xmltree.KindElement, xmltree.KindAttribute:
+		return n.Label()
+	}
+	return ""
+}
+
+// stepNodeOK is the step's node test on a single candidate, unfiltered.
 func stepNodeOK(st step, n *xmltree.Node) bool {
-	principal := xmltree.KindElement
-	if st.axis == AxisAttribute {
-		principal = xmltree.KindAttribute
-	}
-	switch st.test.kind {
-	case testNode:
-		return true
-	case testText:
-		return n.Kind() == xmltree.KindText
-	case testComment:
-		return n.Kind() == xmltree.KindComment
-	case testPI:
-		return false
-	case testWildcard:
-		return n.Kind() == principal
-	case testName:
-		return n.Kind() == principal && n.Label() == st.test.name
-	default:
-		return false
-	}
+	return nodeTestOK(n, st.test, principalKind(st.axis), nil)
 }

@@ -166,3 +166,72 @@ func TestPaperPolicyPathsAllMatchable(t *testing.T) {
 		}
 	}
 }
+
+// TestNameEqualityFastPath: matchStepAt's allocation-free form of
+// name() = 'lit' / name() = $V must decide exactly like generic predicate
+// evaluation, on every node kind and every binding shape — and shapes it
+// must not take (unbound or non-string variables) still error or coerce
+// like the generic path.
+func TestNameEqualityFastPath(t *testing.T) {
+	d := matchDoc(t)
+	preds := []string{
+		"name() = $V", "$V = name()", "name() = 'franck'", "'vip' = name()",
+		"name() = ''", "name() = $N", "name() = $B", "name() = $U",
+		"name() != $V", "name() = name()",
+	}
+	bindings := []Vars{
+		{"V": String("franck"), "N": Number(1), "B": Boolean(true)},
+		{"V": String("vip"), "N": Number(0), "B": Boolean(false)},
+		{"V": String(""), "N": Number(2), "B": Boolean(true)},
+		nil,
+	}
+	for _, src := range preds {
+		c, err := Compile("self::node()[" + src + "]")
+		if err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+		st := c.root.(*pathExpr).steps[0]
+		for _, vars := range bindings {
+			for _, n := range d.Nodes() {
+				got, gotErr := matchStepAt(st, n, vars)
+				v, wantErr := st.preds[0].eval(&evalCtx{node: n, pos: 1, size: 1, vars: vars})
+				if (gotErr != nil) != (wantErr != nil) {
+					t.Fatalf("%s at %s (%v): error %v, generic error %v", src, n.Path(), vars, gotErr, wantErr)
+				}
+				if wantErr == nil && got != v.Bool() {
+					t.Errorf("%s at %s (%v): fast %v, generic %v", src, n.Path(), vars, got, v.Bool())
+				}
+			}
+		}
+	}
+	// The table above must exercise element, attribute and text nodes.
+	kinds := map[xmltree.Kind]bool{}
+	for _, n := range d.Nodes() {
+		kinds[n.Kind()] = true
+	}
+	for _, k := range []xmltree.Kind{xmltree.KindElement, xmltree.KindAttribute, xmltree.KindText} {
+		if !kinds[k] {
+			t.Fatalf("test document has no %s node", k)
+		}
+	}
+}
+
+// TestNameEqualityFastPathAllocs pins the point of the fast path: matching
+// name() = $USER allocates nothing per node.
+func TestNameEqualityFastPathAllocs(t *testing.T) {
+	d := matchDoc(t)
+	c, err := Compile("self::*[name() = $USER]")
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := c.root.(*pathExpr).steps[0]
+	vars := Vars{"USER": String("robert")}
+	n := d.RootElement().Children()[1]
+	if allocs := testing.AllocsPerRun(100, func() {
+		if ok, _ := matchStepAt(st, n, vars); !ok {
+			t.Fatal("robert does not match")
+		}
+	}); allocs != 0 {
+		t.Fatalf("name() = $USER allocates %.0f per node", allocs)
+	}
+}

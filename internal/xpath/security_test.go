@@ -175,3 +175,32 @@ func TestAxisAndOpStrings(t *testing.T) {
 		t.Error("unknown op String")
 	}
 }
+
+// TestFilteredStepAllocsFlat: predicate-free steps under a filter walk the
+// axis in place, so a guarded //name query allocates O(log n) for its
+// growing result, not one candidate slice per visited node.
+func TestFilteredStepAllocsFlat(t *testing.T) {
+	allocs := func(records int) float64 {
+		var b strings.Builder
+		b.WriteString("<r>")
+		for i := 0; i < records; i++ {
+			b.WriteString("<rec><svc>s</svc><diag>d</diag></rec>")
+		}
+		b.WriteString("</r>")
+		d, err := xmltree.ParseString(b.String(), xmltree.ParseOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sec := &Security{Visible: func(n *xmltree.Node) bool { return n.Label() != "svc" }}
+		c := MustCompile("//diag")
+		return testing.AllocsPerRun(20, func() {
+			if ns, err := c.SelectFiltered(d.Root(), nil, sec); err != nil || len(ns) != records {
+				t.Fatalf("%d nodes, err %v", len(ns), err)
+			}
+		})
+	}
+	small, large := allocs(50), allocs(2000)
+	if large > 2*small {
+		t.Fatalf("//diag allocates %.0f at 50 records but %.0f at 2000: per-node allocation", small, large)
+	}
+}
