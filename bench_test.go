@@ -10,6 +10,7 @@ package securexml_test
 // rewrite tier's guarded reads (BenchmarkGuardedRead).
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
@@ -23,6 +24,7 @@ import (
 	"securexml/internal/policy"
 	"securexml/internal/qfilter"
 	"securexml/internal/rewrite"
+	"securexml/internal/storage"
 	"securexml/internal/subject"
 	"securexml/internal/view"
 	"securexml/internal/workload"
@@ -130,9 +132,12 @@ func BenchmarkXPath(b *testing.B) {
 
 // --- B3: secured vs unsecured vs baseline writes --------------------------------
 
-// BenchmarkSecuredUpdate compares the three write paths on the same
-// operation: the paper's view-mediated writes, the [10]-style baseline
-// (source-evaluated), and the raw unsecured executor.
+// BenchmarkSecuredUpdate compares the write paths on the same
+// operation: the paper's view-mediated writes (the reference executor,
+// which materializes the writer's view), the [10]-style baseline
+// (source-evaluated), the raw unsecured executor, and the served path —
+// core.Session.Update by a writer who never read, selecting through the
+// guard table of each freshly published snapshot.
 func BenchmarkSecuredUpdate(b *testing.B) {
 	const patients = 500
 	op := &xupdate.Op{Kind: xupdate.Update, Select: "/patients/p250/diagnosis", NewValue: "seen"}
@@ -164,6 +169,32 @@ func BenchmarkSecuredUpdate(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := xupdate.Execute(d, op, nil); err != nil {
 				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("served-cold-writer", func(b *testing.B) {
+		d, h, p := mustHospital(b, patients, 0)
+		rules := make([]policy.Rule, 0, p.Len())
+		for _, r := range p.Rules() {
+			rules = append(rules, *r)
+		}
+		var buf bytes.Buffer
+		if err := storage.Write(&buf, &storage.Snapshot{SchemeName: d.Scheme().Name(), Doc: d, Subjects: h, Rules: rules}); err != nil {
+			b.Fatal(err)
+		}
+		db, err := core.Open(&buf)
+		if err != nil {
+			b.Fatal(err)
+		}
+		s, err := db.Session("laporte")
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if res, err := s.Update(op); err != nil || res.Applied != 1 {
+				b.Fatal(res, err)
 			}
 		}
 	})

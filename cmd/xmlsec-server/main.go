@@ -18,14 +18,23 @@
 // in-memory ring: GET /traces lists recent summaries, GET /trace/{id}
 // returns the full span tree, and -slowtrace sets the latency above
 // which whole trees are logged through the access logger.
+//
+// On SIGINT or SIGTERM the server stops accepting connections, gives
+// in-flight requests up to shutdownTimeout to finish, then closes the
+// journal.
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"os"
+	"os/signal"
+	"syscall"
 	"time"
 
 	"securexml/internal/core"
@@ -34,18 +43,19 @@ import (
 )
 
 // attachJournal opens (or creates) the append-only command log and hooks
-// it into the database, continuing from seqStart.
-func attachJournal(db *core.Database, path string, seqStart uint64) error {
+// it into the database, continuing from seqStart. It returns the file for
+// the caller to close at shutdown (nil without a journal).
+func attachJournal(db *core.Database, path string, seqStart uint64) (io.Closer, error) {
 	if path == "" {
-		return nil
+		return nil, nil
 	}
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	db.AttachJournal(f, seqStart)
 	fmt.Printf("journaling to %s (from seq %d)\n", path, seqStart)
-	return nil
+	return f, nil
 }
 
 // Connection deadlines, so a slow or stalled client cannot hold a
@@ -57,6 +67,9 @@ const (
 	readTimeout       = time.Minute
 	writeTimeout      = 2 * time.Minute
 	idleTimeout       = 2 * time.Minute
+	// shutdownTimeout bounds how long a signalled server waits for
+	// in-flight requests before closing their connections.
+	shutdownTimeout = 30 * time.Second
 )
 
 // newHTTPServer wraps handler in an http.Server with the connection
@@ -70,6 +83,27 @@ func newHTTPServer(addr string, handler http.Handler) *http.Server {
 		WriteTimeout:      writeTimeout,
 		IdleTimeout:       idleTimeout,
 	}
+}
+
+// serve runs srv on ln until ctx is done, then shuts it down gracefully:
+// the listener closes at once and in-flight requests get up to
+// shutdownTimeout to complete. It returns nil after a clean shutdown.
+func serve(ctx context.Context, srv *http.Server, ln net.Listener) error {
+	errc := make(chan error, 1)
+	go func() { errc <- srv.Serve(ln) }()
+	select {
+	case err := <-errc:
+		return err
+	case <-ctx.Done():
+	}
+	// ctx is done by now; the drain gets its own deadline.
+	sctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), shutdownTimeout)
+	defer cancel()
+	err := srv.Shutdown(sctx)
+	if serr := <-errc; !errors.Is(serr, http.ErrServerClosed) && err == nil {
+		err = serr
+	}
+	return err
 }
 
 func main() {
@@ -90,6 +124,7 @@ func main() {
 	}
 
 	var db *core.Database
+	var journal io.Closer
 	if *snapshot != "" {
 		f, err := os.Open(*snapshot)
 		if err != nil {
@@ -119,7 +154,7 @@ func main() {
 			}
 			fmt.Printf("restored %s\n", *snapshot)
 		}
-		if err := attachJournal(db, *journalPath, seqStart); err != nil {
+		if journal, err = attachJournal(db, *journalPath, seqStart); err != nil {
 			fatal(err)
 		}
 	} else {
@@ -130,7 +165,7 @@ func main() {
 		}
 		fmt.Println("serving the paper's hospital scenario")
 		fmt.Println("users: beaufort, laporte, richard, robert, franck (basic auth, any password)")
-		if err := attachJournal(db, *journalPath, 0); err != nil {
+		if journal, err = attachJournal(db, *journalPath, 0); err != nil {
 			fatal(err)
 		}
 	}
@@ -165,9 +200,21 @@ func main() {
 	}
 	st := db.Stats()
 	fmt.Printf("listening on %s (%d nodes, %d rules, %d users); metrics on /metrics\n", *addr, st.Nodes, st.Rules, st.Users)
-	if err := newHTTPServer(*addr, server.New(db, opts...)).ListenAndServe(); err != nil {
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
 		fatal(err)
 	}
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	if err := serve(ctx, newHTTPServer(*addr, server.New(db, opts...)), ln); err != nil {
+		fatal(err)
+	}
+	if journal != nil {
+		if err := journal.Close(); err != nil {
+			fatal(err)
+		}
+	}
+	fmt.Println("shut down")
 }
 
 func fatal(err error) {

@@ -1,6 +1,9 @@
 package main
 
 import (
+	"context"
+	"io"
+	"net"
 	"net/http"
 	"testing"
 	"time"
@@ -22,5 +25,57 @@ func TestHTTPServerHasTimeouts(t *testing.T) {
 		if d <= 0 {
 			t.Errorf("%s = %v, want a positive deadline", name, d)
 		}
+	}
+}
+
+// TestServeDrainsInFlightRequests: cancelling serve's context (what
+// SIGINT/SIGTERM do) stops new connections but lets a request already in
+// its handler run to completion before serve returns.
+func TestServeDrainsInFlightRequests(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	entered, release := make(chan struct{}), make(chan struct{})
+	srv := newHTTPServer(ln.Addr().String(), http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		close(entered)
+		<-release
+		io.WriteString(w, "done")
+	}))
+	ctx, cancel := context.WithCancel(context.Background())
+	served := make(chan error, 1)
+	go func() { served <- serve(ctx, srv, ln) }()
+
+	type reply struct {
+		body string
+		err  error
+	}
+	replied := make(chan reply, 1)
+	go func() {
+		resp, err := http.Get("http://" + ln.Addr().String() + "/")
+		if err != nil {
+			replied <- reply{err: err}
+			return
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		replied <- reply{string(b), err}
+	}()
+	<-entered
+	cancel()
+	select {
+	case err := <-served:
+		t.Fatalf("serve returned %v with a request in flight", err)
+	case <-time.After(100 * time.Millisecond):
+	}
+	close(release)
+	if r := <-replied; r.err != nil || r.body != "done" {
+		t.Fatalf("in-flight request: %q, %v", r.body, r.err)
+	}
+	if err := <-served; err != nil {
+		t.Fatalf("serve after a clean shutdown: %v", err)
+	}
+	if _, err := net.Dial("tcp", ln.Addr().String()); err == nil {
+		t.Fatal("listener still accepts connections after shutdown")
 	}
 }

@@ -19,6 +19,12 @@
 //
 // Operations may succeed on some selected nodes and fail on others; the
 // Result records both.
+//
+// One executor, Apply, serves two read sides: the reference Execute*
+// functions select on a materialized view, and the database's commit
+// rounds select on the source through the writer's view filter
+// (xpath.Security), which shows the same nodes with the same labels, so
+// the view itself is never built on a served write.
 package access
 
 import (
@@ -125,8 +131,9 @@ func ExecuteWithVars(doc *xmltree.Document, h *subject.Hierarchy, pol *policy.Po
 // annotated with the op kind and per-node accounting.
 //
 // It derives the view from scratch with the reference evaluator on every
-// call, which makes it the oracle for ApplyOnView: the database's commit
-// rounds carry an incrementally maintained view instead.
+// call and selects on it, which makes it the oracle for the database's
+// commit rounds: those select through the writer's view filter on the
+// source instead (a Reader with a Security), never materializing a view.
 func ExecuteWithVarsCtx(ctx context.Context, doc *xmltree.Document, h *subject.Hierarchy, pol *policy.Policy, user string, op *xupdate.Op, extra xpath.Vars) (*xupdate.Result, *view.View, error) {
 	if err := Check(h, user, op); err != nil {
 		return nil, nil, err
@@ -136,7 +143,7 @@ func ExecuteWithVarsCtx(ctx context.Context, doc *xmltree.Document, h *subject.H
 		return nil, nil, err
 	}
 	v := view.MaterializeCtx(ctx, doc, pm)
-	res, err := ApplyOnView(ctx, doc, pm, v, op, extra)
+	res, err := Apply(ctx, doc, Reader{User: user, Doc: v.Doc, Decide: PermsDecider(pm)}, op, extra)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -160,24 +167,56 @@ func Check(h *subject.Hierarchy, user string, op *xupdate.Op) error {
 	return nil
 }
 
-// ApplyOnView is the secured executor's core (axioms 18–25) for a view
-// the caller already holds: pm must be the axiom-14 permissions of
-// pm.User() on doc at its current version and v the view derived from
-// them (axioms 15–17), and op must have passed Check. $USER binds to
-// pm.User(); value-of content is expanded and the select path evaluated
-// on v, and every selected node is changed in doc if and only if the
-// §4.4.2 privilege requirements hold. Neither pm nor v is modified, so
-// both may be frozen, shared cache entries; after a successful change
-// they describe doc's previous version.
-func ApplyOnView(ctx context.Context, doc *xmltree.Document, pm *policy.Perms, v *view.View, op *xupdate.Op, extra xpath.Vars) (*xupdate.Result, error) {
+// Reader is the read side of one secured operation: the document its
+// select path and value-of content are evaluated on, the filter that
+// makes that document the writer's axiom 15–17 view, and the writer's
+// axiom-14 decisions.
+type Reader struct {
+	// User is the writer; $USER binds to it.
+	User string
+	// Doc is the read document: the writer's materialized view (with a
+	// nil Sec), or a source document with the same content as the write
+	// document at the operation's start, filtered by Sec.
+	Doc *xmltree.Document
+	// Sec filters Doc to the writer's view; nil when Doc is the view.
+	Sec *xpath.Security
+	// Err, when set, reports a failure of Sec's decisions during
+	// evaluation (a rule that errored is decided as hidden, which must not
+	// pass silently). The executor checks it before mutating anything.
+	Err func() error
+	// Decide returns the writer's privileges on a node of the write
+	// document. The executor calls it before the first change, so every
+	// decision is as of the operation's start.
+	Decide func(*xmltree.Node) (policy.Decision, error)
+}
+
+// PermsDecider returns Reader.Decide over a permission relation computed
+// for the write document at the operation's start.
+func PermsDecider(pm *policy.Perms) func(*xmltree.Node) (policy.Decision, error) {
+	return func(n *xmltree.Node) (policy.Decision, error) { return pm.Decide(n), nil }
+}
+
+// Apply is the secured executor (axioms 18–25): $USER binds to rd.User,
+// value-of content is expanded and the select path evaluated on rd.Doc
+// under rd.Sec, and every selected node is changed in doc — mapped by
+// identifier — if and only if the §4.4.2 privilege requirements hold.
+// Every target, its parent and the children xupdate:update renames are
+// decided before the first change, as a view derived at the operation's
+// start would show them, so rd.Doc may be doc itself. op must have
+// passed Check. Apply never modifies rd.Doc except through doc.
+func Apply(ctx context.Context, doc *xmltree.Document, rd Reader, op *xupdate.Op, extra xpath.Vars) (*xupdate.Result, error) {
 	vars := make(xpath.Vars, len(extra)+1)
 	for k, val := range extra {
 		vars[k] = val
 	}
-	vars["USER"] = xpath.String(pm.User())
+	vars["USER"] = xpath.String(rd.User)
+	fail := func(err error) (*xupdate.Result, error) {
+		opOutcome(op.Kind, outcomeError)
+		return nil, err
+	}
 	run := op
 	if op.HasDynamicContent() {
-		expanded, err := op.ExpandContent(v.Doc.Root(), vars)
+		expanded, err := op.ExpandContent(rd.Doc.Root(), vars, rd.Sec)
 		if err != nil {
 			return nil, fmt.Errorf("access: expanding dynamic content on view: %w", err)
 		}
@@ -186,21 +225,26 @@ func ApplyOnView(ctx context.Context, doc *xmltree.Document, pm *policy.Perms, v
 		run = &cp
 	}
 	_, selSpan := obs.StartSpanCtx(ctx, "view_select", selectStage)
-	sel, err := xpath.Select(v.Doc, run.Select, vars)
+	sel, err := selectOn(rd, run.Select, vars)
 	selSpan.AnnotateInt("selected", int64(len(sel)))
 	selSpan.End()
 	if err != nil {
-		opOutcome(op.Kind, outcomeError)
-		return nil, fmt.Errorf("access: evaluating select path on view: %w", err)
+		return fail(fmt.Errorf("access: evaluating select path on view: %w", err))
+	}
+	targets, err := decide(doc, rd, run.Kind, sel)
+	if err == nil && rd.Err != nil {
+		err = rd.Err()
+	}
+	if err != nil {
+		return fail(fmt.Errorf("access: deciding privileges: %w", err))
 	}
 	res := &xupdate.Result{Selected: len(sel)}
 	_, applySpan := obs.StartSpanCtx(ctx, "secured_apply", applyStage)
 	applySpan.Annotate("kind", op.Kind.MetricLabel())
-	for _, vn := range sel {
-		if err := applySecured(doc, pm, run, vn, res); err != nil {
+	for i := range targets {
+		if err := applySecured(doc, run, &targets[i], res); err != nil {
 			applySpan.End()
-			opOutcome(op.Kind, outcomeError)
-			return nil, err
+			return fail(err)
 		}
 	}
 	applySpan.AnnotateInt("applied", int64(res.Applied))
@@ -219,17 +263,96 @@ func ApplyOnView(ctx context.Context, doc *xmltree.Document, pm *policy.Perms, v
 	return res, nil
 }
 
+// selectOn evaluates the select path on the reader's document under its
+// filter.
+func selectOn(rd Reader, path string, vars xpath.Vars) (xpath.NodeSet, error) {
+	c, err := xpath.Compile(path)
+	if err != nil {
+		return nil, err
+	}
+	return c.SelectFiltered(rd.Doc.Root(), vars, rd.Sec)
+}
+
+// target is one selected node with everything the §4.4.2 checks need,
+// decided at the operation's start.
+type target struct {
+	// sel is the node as selected on the read document; skips report
+	// its identifier.
+	sel *xmltree.Node
+	// src is the node in the write document, nil if it has none.
+	src *xmltree.Node
+	d   policy.Decision
+	// parent is sel's parent in the view, for insert-before and
+	// insert-after (axioms 23–24).
+	parent *target
+	// kids are sel's children in the view, for xupdate:update (axioms
+	// 20–21).
+	kids []target
+}
+
+// decide maps the selected nodes into doc and takes every privilege
+// decision the operation kind will check.
+func decide(doc *xmltree.Document, rd Reader, kind xupdate.Kind, sel xpath.NodeSet) ([]target, error) {
+	one := func(n *xmltree.Node) (target, error) {
+		t := target{sel: n, src: n}
+		if n.Document() != doc {
+			t.src = doc.NodeByID(n.ID())
+		}
+		if t.src == nil {
+			return t, nil
+		}
+		var err error
+		t.d, err = rd.Decide(t.src)
+		return t, err
+	}
+	out := make([]target, len(sel))
+	for i, n := range sel {
+		t, err := one(n)
+		if err != nil {
+			return nil, err
+		}
+		switch kind {
+		case xupdate.Update:
+			for _, k := range n.Children() {
+				if !rd.Sec.IsVisible(k) {
+					continue
+				}
+				kt, err := one(k)
+				if err != nil {
+					return nil, err
+				}
+				t.kids = append(t.kids, kt)
+			}
+		case xupdate.InsertBefore, xupdate.InsertAfter:
+			if p := n.Parent(); p != nil {
+				pt, err := one(p)
+				if err != nil {
+					return nil, err
+				}
+				t.parent = &pt
+			}
+		}
+		out[i] = t
+	}
+	return out, nil
+}
+
 // skip records a per-node refusal.
 func skip(res *xupdate.Result, n *xmltree.Node, reason string) {
 	res.Skipped = append(res.Skipped, xupdate.SkipReason{NodeID: n.ID().String(), Reason: reason})
 }
 
-// applySecured enforces the §4.4.2 requirements for one node selected on
-// the view and, if satisfied, performs the change on the source document.
-func applySecured(doc *xmltree.Document, pm *policy.Perms, op *xupdate.Op, vn *xmltree.Node, res *xupdate.Result) error {
-	// Map the view node back to its source node via the shared identifier.
-	src := doc.NodeByID(vn.ID())
-	if src == nil {
+// gone reports whether a decided write-document node no longer exists:
+// it had none, or an earlier target of the operation removed it.
+func gone(doc *xmltree.Document, n *xmltree.Node) bool {
+	return n == nil || n.Document() != doc
+}
+
+// applySecured enforces the §4.4.2 requirements for one selected node and,
+// if satisfied, performs the change on the write document.
+func applySecured(doc *xmltree.Document, op *xupdate.Op, t *target, res *xupdate.Result) error {
+	vn, src := t.sel, t.src
+	if gone(doc, src) {
 		// The node vanished from the source while this op ran over a
 		// multi-node selection (e.g. removed with an earlier target).
 		skip(res, vn, "node no longer exists in the source document")
@@ -241,11 +364,11 @@ func applySecured(doc *xmltree.Document, pm *policy.Perms, op *xupdate.Op, vn *x
 			skip(res, vn, "cannot rename the document node")
 			return nil
 		}
-		if !pm.Has(src, policy.Update) {
+		if !t.d.Has(policy.Update) {
 			skip(res, vn, "update privilege required")
 			return nil
 		}
-		if !pm.Has(src, policy.Read) {
+		if !t.d.Has(policy.Read) {
 			// The node is in the view only via position: its label shows as
 			// RESTRICTED and must not be overwritten blindly.
 			skip(res, vn, "node is RESTRICTED: renaming would overwrite a label the user cannot see")
@@ -262,24 +385,24 @@ func applySecured(doc *xmltree.Document, pm *policy.Perms, op *xupdate.Op, vn *x
 	case xupdate.Update:
 		// Axioms 20–21: the children of the selected node *in the view*,
 		// each requiring both update and read.
-		kids := vn.Children()
-		if len(kids) == 0 {
+		if len(t.kids) == 0 {
 			skip(res, vn, "no children visible to update (xupdate:update renames the children of the selected node)")
 			return nil
 		}
 		applied := false
-		for _, vk := range kids {
-			sk := doc.NodeByID(vk.ID())
-			if sk == nil {
-				skip(res, vk, "child no longer exists in the source document")
+		for i := range t.kids {
+			k := &t.kids[i]
+			sk := k.src
+			if gone(doc, sk) {
+				skip(res, k.sel, "child no longer exists in the source document")
 				continue
 			}
-			if !pm.Has(sk, policy.Update) {
-				skip(res, vk, "update privilege required on the child")
+			if !k.d.Has(policy.Update) {
+				skip(res, k.sel, "update privilege required on the child")
 				continue
 			}
-			if !pm.Has(sk, policy.Read) {
-				skip(res, vk, "read privilege required on the child (axiom 21)")
+			if !k.d.Has(policy.Read) {
+				skip(res, k.sel, "read privilege required on the child (axiom 21)")
 				continue
 			}
 			old := sk.Label()
@@ -295,7 +418,7 @@ func applySecured(doc *xmltree.Document, pm *policy.Perms, op *xupdate.Op, vn *x
 			res.Applied++
 		}
 	case xupdate.Append:
-		if !pm.Has(src, policy.Insert) {
+		if !t.d.Has(policy.Insert) {
 			skip(res, vn, "insert privilege required")
 			return nil
 		}
@@ -309,13 +432,11 @@ func applySecured(doc *xmltree.Document, pm *policy.Perms, op *xupdate.Op, vn *x
 		res.Applied++
 	case xupdate.InsertBefore, xupdate.InsertAfter:
 		// Axioms 23–24: insert privilege on the parent of the selected node.
-		parent := vn.Parent()
-		if parent == nil || src.Parent() == nil {
+		if t.parent == nil || src.Parent() == nil {
 			skip(res, vn, "document node has no siblings")
 			return nil
 		}
-		srcParent := doc.NodeByID(parent.ID())
-		if srcParent == nil || !pm.Has(srcParent, policy.Insert) {
+		if gone(doc, t.parent.src) || !t.parent.d.Has(policy.Insert) {
 			skip(res, vn, "insert privilege required on the parent")
 			return nil
 		}
@@ -341,7 +462,7 @@ func applySecured(doc *xmltree.Document, pm *policy.Perms, op *xupdate.Op, vn *x
 		}
 		res.Applied++
 	case xupdate.Remove:
-		if !pm.Has(src, policy.Delete) {
+		if !t.d.Has(policy.Delete) {
 			skip(res, vn, "delete privilege required")
 			return nil
 		}

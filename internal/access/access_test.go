@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"securexml/internal/policy"
+	"securexml/internal/rewrite"
 	"securexml/internal/subject"
 	"securexml/internal/view"
 	"securexml/internal/xmltree"
@@ -541,41 +542,137 @@ func TestUpdateAttributeThroughView(t *testing.T) {
 	}
 }
 
-// TestApplyOnViewMatchesExecute runs each operation twice: through
-// Execute, which derives the view itself, and through ApplyOnView on a
-// frozen view of an identical document derived with the shared-scan
-// evaluator. Results and resulting documents must agree, and the frozen
-// view must come back untouched.
-func TestApplyOnViewMatchesExecute(t *testing.T) {
+// guardReader builds the served path's read side on read: the user's
+// rewrite guard as the filter and per-node axiom-14 decisions.
+func guardReader(t *testing.T, read *xmltree.Document, h *subject.Hierarchy, p *policy.Policy, user string) Reader {
+	t.Helper()
+	pg, _ := rewrite.NewEngine(p, h).ProgramFor(user)
+	ne, ok := p.NodeEvaluator(h, user)
+	if pg == nil || !ok {
+		t.Fatalf("policy not chain-only for %s", user)
+	}
+	sec, st := pg.SecurityFor(user, xpath.Vars{"USER": xpath.String(user)}, read)
+	if st.Err() != nil {
+		t.Fatal(st.Err())
+	}
+	return Reader{User: user, Doc: read, Sec: sec, Err: st.Err, Decide: ne.Decide}
+}
+
+// TestApplyMatchesExecute runs each operation through Execute, which
+// derives the view itself, and through Apply with three other read sides
+// on an identical document: a frozen view derived with the shared-scan
+// evaluator, the guard over a frozen snapshot (the write document is a
+// clone of it), and the guard over the write document itself. Results
+// and resulting documents must agree, and the frozen view must come back
+// untouched.
+func TestApplyMatchesExecute(t *testing.T) {
 	ops := []*xupdate.Op{
 		{Kind: xupdate.Update, Select: "/patients/franck/diagnosis", NewValue: "pharyngitis"},
+		{Kind: xupdate.Update, Select: "/patients/* | //diagnosis", NewValue: "x"},
 		{Kind: xupdate.Rename, Select: "//diagnosis", NewValue: "dx"},
+		{Kind: xupdate.Rename, Select: "/patients/* | /patients/*/diagnosis", NewValue: "franck"},
 		{Kind: xupdate.Append, Select: "//diagnosis", Content: fragment(t, "<note>n</note>")},
+		mustParseOp(t, `<xupdate:append select="/patients"><copy><xupdate:value-of select="/patients/*"/></copy></xupdate:append>`),
 		{Kind: xupdate.InsertBefore, Select: "/patients/*/service", Content: fragment(t, "<ward/>")},
+		{Kind: xupdate.InsertAfter, Select: "/patients/* | /patients", Content: fragment(t, "<ward/><bed/>")},
 		{Kind: xupdate.Remove, Select: "//diagnosis/node()"},
+		{Kind: xupdate.Remove, Select: "//diagnosis | //diagnosis/node()"},
 	}
-	for _, user := range []string{"laporte", "beaufort", "robert"} {
-		for _, op := range ops {
-			ref, h, p := paperEnv(t)
+	readers := []struct {
+		name string
+		// reader returns the read side for user over a copy of ref,
+		// and the write document.
+		reader func(ref *xmltree.Document, h *subject.Hierarchy, p *policy.Policy, user string) (Reader, *xmltree.Document)
+	}{
+		{"view", func(ref *xmltree.Document, h *subject.Hierarchy, p *policy.Policy, user string) (Reader, *xmltree.Document) {
 			doc := ref.Clone()
-			want, _, wantErr := Execute(ref, h, p, user, op)
 			pm, err := p.EvaluateShared(doc, h, user, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			v := view.Materialize(doc, pm)
 			v.Doc.Freeze()
-			before := v.Doc.XML()
-			got, err := ApplyOnView(context.Background(), doc, pm, v, op, nil)
-			if (err == nil) != (wantErr == nil) || !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s %s by %s: ApplyOnView %+v, %v; Execute %+v, %v", op.Kind, op.Select, user, got, err, want, wantErr)
-			}
-			if !xmltree.Equal(doc, ref) {
-				t.Fatalf("%s %s by %s: documents differ", op.Kind, op.Select, user)
-			}
-			if v.Doc.XML() != before {
-				t.Fatalf("%s %s by %s: ApplyOnView changed the view", op.Kind, op.Select, user)
+			return Reader{User: user, Doc: v.Doc, Decide: PermsDecider(pm)}, doc
+		}},
+		{"guard-snapshot", func(ref *xmltree.Document, h *subject.Hierarchy, p *policy.Policy, user string) (Reader, *xmltree.Document) {
+			snap := ref.Clone()
+			snap.Freeze()
+			return guardReader(t, snap, h, p, user), snap.Clone()
+		}},
+		{"guard-in-place", func(ref *xmltree.Document, h *subject.Hierarchy, p *policy.Policy, user string) (Reader, *xmltree.Document) {
+			doc := ref.Clone()
+			return guardReader(t, doc, h, p, user), doc
+		}},
+	}
+	for _, user := range []string{"laporte", "beaufort", "robert"} {
+		for _, op := range ops {
+			for _, r := range readers {
+				ref, h, p := paperEnv(t)
+				rd, doc := r.reader(ref, h, p, user)
+				want, _, wantErr := Execute(ref, h, p, user, op)
+				before := rd.Doc.XML()
+				got, err := Apply(context.Background(), doc, rd, op, nil)
+				if (err == nil) != (wantErr == nil) || !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: %s %s by %s: Apply %+v, %v; Execute %+v, %v", r.name, op.Kind, op.Select, user, got, err, want, wantErr)
+				}
+				if !xmltree.Equal(doc, ref) {
+					t.Fatalf("%s: %s %s by %s: documents differ\ngot:\n%s\nwant:\n%s", r.name, op.Kind, op.Select, user, doc.Sketch(), ref.Sketch())
+				}
+				if rd.Doc != doc && rd.Doc.XML() != before {
+					t.Fatalf("%s: %s %s by %s: Apply changed the read document", r.name, op.Kind, op.Select, user)
+				}
 			}
 		}
+	}
+}
+
+// mustParseOp parses a one-operation modification document.
+func mustParseOp(t *testing.T, body string) *xupdate.Op {
+	t.Helper()
+	ops, err := xupdate.ParseModificationsString(`<xupdate:modifications version="1.0" xmlns:xupdate="http://www.xmldb.org/xupdate">` + body + `</xupdate:modifications>`)
+	if err != nil || len(ops) != 1 {
+		t.Fatalf("parse %s: %v", body, err)
+	}
+	return ops[0]
+}
+
+// TestApplyDecidesAsOfOperationStart: when the guard reads the write
+// document itself, an earlier target's change must not alter a later
+// target's decision. u may update /r/a and its subtree; renaming /r/a
+// first moves /r/a/b out of the granted chain, yet the view at the
+// operation's start — and so the reference — renames both.
+func TestApplyDecidesAsOfOperationStart(t *testing.T) {
+	ref, err := xmltree.ParseString(`<r><a><b>t</b></a></r>`, xmltree.ParseOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := subject.NewHierarchy()
+	if err := h.AddUser("u"); err != nil {
+		t.Fatal(err)
+	}
+	p := policy.New()
+	for _, g := range []struct {
+		priv policy.Privilege
+		path string
+	}{
+		{policy.Read, "/descendant-or-self::node()"},
+		{policy.Update, "/r/a/descendant-or-self::node()"},
+	} {
+		if err := p.Grant(h, g.priv, g.path, "u"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	op := &xupdate.Op{Kind: xupdate.Rename, Select: "/r/a | /r/a/b", NewValue: "z"}
+	doc := ref.Clone()
+	want, _, err := Execute(ref, h, p, "u", op)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Apply(context.Background(), doc, guardReader(t, doc, h, p, "u"), op, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Applied != 2 || !reflect.DeepEqual(got, want) || !xmltree.Equal(doc, ref) {
+		t.Fatalf("in-place guard: %+v, reference %+v\n%s", got, want, doc.Sketch())
 	}
 }

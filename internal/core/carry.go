@@ -3,156 +3,147 @@ package core
 import (
 	"context"
 
+	"securexml/internal/access"
 	"securexml/internal/obs"
 	"securexml/internal/policy"
-	"securexml/internal/view"
-	"securexml/internal/xupdate"
+	"securexml/internal/qfilter"
+	"securexml/internal/rewrite"
+	"securexml/internal/xmltree"
 )
 
 // Secured writes select their targets on the writer's view (§4.4.2,
-// axioms 18–25). Deriving that view from scratch per operation costs a
-// full policy evaluation and materialization, O(document). A commit round
-// instead carries each writer's (permissions, view) pair across its
-// requests and keeps it current with the incremental maintainer, so an
-// operation costs O(delta) beyond the round's one document clone.
+// axioms 18–25), but no served write materializes that view. The select
+// path runs on the round's read document through the writer's view
+// filter — the guard table the rewrite tier serves reads from — and each
+// target's privileges are decided on its own in O(rules × depth), after
+// Mahfoud–Imine's rewriting of updates over security views. A policy
+// outside the chain-only fragment falls back to the shared-scan
+// permission relation as the filter, still without a view.
+//
+// The read document is the base snapshot while the round has not moved
+// it, so a writer's first operation reads the reader-shared, cached guard
+// table; after that it is the round's scratch clone, whose filter is an
+// uncached fill kept for that document version. Targets are mapped into
+// the scratch clone by identifier.
 
-var carryStage = obs.Stage("view_carry")
+var guardStage = obs.Stage("write_guard")
 
-// carrySource says where writerView got a writer's state from: the
-// view_carry span's source annotation.
-type carrySource int
+// guardSource says where writerReader got a writer's read side from: the
+// write_guard span's source annotation.
+type guardSource int
 
 const (
-	carryCacheHit carrySource = iota
-	carryIncremental
-	carrySnapshotPatch
-	carryRederive
+	guardCarried guardSource = iota
+	guardSnapshotTable
+	guardScratchFill
+	guardPerms
 )
 
 // label returns the annotation value; every branch is a literal so it
 // stays compile-time bounded (xmlsec-vet obslabel).
-func (c carrySource) label() string {
-	switch c {
-	case carryCacheHit:
-		return "cache_hit"
-	case carryIncremental:
-		return "incremental"
-	case carrySnapshotPatch:
-		return "snapshot_patch"
+func (g guardSource) label() string {
+	switch g {
+	case guardCarried:
+		return "carried"
+	case guardSnapshotTable:
+		return "snapshot_table"
+	case guardScratchFill:
+		return "scratch_fill"
 	default:
-		return "rederive"
+		return "perms"
 	}
 }
 
-// writerState is one user's carried write-side state within a commit
-// round: the axiom-14 permissions and the axioms 15–17 view of the round's
-// document at version ver, document generation gen and policy epoch epoch.
-//
-// A state seeded from the session cache starts out as that cache's
-// published entry, frozen and shared with readers. It is only ever read
-// until the document moves; the first patch then works on private copies
-// (owned), so published entries are never mutated.
+// writerState is one user's read side within a commit round, valid for
+// the read document doc at version ver under policy epoch epoch.
 type writerState struct {
-	pm    *policy.Perms
-	v     *view.View
+	rd    access.Reader
+	doc   *xmltree.Document
 	ver   uint64
-	gen   uint64
 	epoch uint64
-	owned bool
 }
 
-// writerView returns s's permissions and view of the round's current
-// document, for the next secured operation to select on. The result is
-// read-only for the caller.
+// readDoc returns the document the round's next secured operation selects
+// on: the base snapshot until the round has changed the document, the
+// scratch document after that. Both have the content the write document
+// has at the operation's start.
+func (c *commitCtx) readDoc() *xmltree.Document {
+	if c.doc != nil && (c.docReset || c.doc.Version() != c.base.ver()) {
+		return c.doc
+	}
+	return c.base.doc
+}
+
+// engine returns the rewrite engine for the round's policy: the
+// database's shared one while the round has not changed the policy or
+// the hierarchy, else one built for the round's own epoch.
+func (c *commitCtx) engine() *rewrite.Engine {
+	if c.epoch == c.base.epoch {
+		return c.db.rewriteEngineFor(c.base)
+	}
+	if c.eng == nil || c.engEpoch != c.epoch {
+		c.eng = rewrite.NewEngine(c.curPolicy(), c.curSubjects())
+		c.engEpoch = c.epoch
+	}
+	return c.eng
+}
+
+// writerReader returns s's read side for the round's next secured
+// operation: the read document, the filter that makes it the writer's
+// view, and the per-target privilege decisions. It is reused while the
+// read document and the policy stay where they were.
 //
-// The state comes, cheapest first, from:
-//
-//   - the carried state itself, when the document has not moved since;
-//   - the session cache for the round's base generation (a hit, or a patch
-//     from the generation's delta log) on the user's first operation of
-//     the round, before any admin change or document replacement;
-//   - a patch of the carried or seeded state with the round's own delta
-//     batches, which include other users' operations in the round;
-//   - a re-derivation from the round's document (shared-scan evaluation
-//     plus materialization) when none of the above applies: the policy is
-//     not chain-only for the user, the batches have a version gap (an
-//     operation failed after a partial mutation), or an admin operation
-//     or document replacement earlier in the round changed what the state
-//     was derived from.
-//
-// Seeding only reads a session cache that already holds an entry: a
-// writer whose session is cold re-derives in the round, and the state
-// dies with the round. Writes thus never grow the read cache — a cached
-// view costs about as much memory as the document — and a writer who
-// also reads gets O(delta) writes from the view its reads keep warm.
-//
-// The view_carry span records which source served, annotated with the
+// The write_guard span records which source served, annotated with the
 // writer's own coordinates only — never with counts about other users'
-// views (§2.2).
-func (c *commitCtx) writerView(ctx context.Context, s *Session) (*policy.Perms, *view.View, error) {
-	ctx, sp := obs.StartSpanCtx(ctx, "view_carry", carryStage)
+// views (§2.2). The writer never counts as a read tier.
+func (c *commitCtx) writerReader(ctx context.Context, s *Session) (access.Reader, error) {
+	ctx, sp := obs.StartSpanCtx(ctx, "write_guard", guardStage)
 	defer sp.End()
-	doc := c.curDoc()
-	cur := doc.Version()
+	doc := c.readDoc()
+	source := guardCarried
 	ws := c.writers[s.user]
-	source := carryCacheHit
-	if ws == nil && c.docGen == c.base.docGen && c.epoch == c.base.epoch {
-		e, src, err := s.currentEntry(ctx, c.base, true)
+	if ws == nil || ws.doc != doc || ws.ver != doc.Version() || ws.epoch != c.epoch {
+		rd, src, err := c.newReader(ctx, s, doc)
 		if err != nil {
-			return nil, nil, err
+			return access.Reader{}, err
 		}
-		if e != nil {
-			source = src
-			ws = &writerState{pm: e.pm, v: e.v, ver: e.ver, gen: e.gen, epoch: e.epoch}
-		}
+		ws = &writerState{rd: rd, doc: doc, ver: doc.Version(), epoch: c.epoch}
+		c.writers[s.user] = ws
+		source = src
 	}
-	switch {
-	case ws == nil || ws.gen != c.docGen || ws.epoch != c.epoch:
-		ws = nil
-	case ws.ver == cur:
-	case c.patch(ctx, s, ws):
-		source = carrySnapshotPatch
-	default:
-		ws = nil
-	}
-	if ws == nil {
-		pm, err := c.curPolicy().EvaluateSharedCtx(ctx, doc, c.curSubjects(), s.user, nil)
-		if err != nil {
-			return nil, nil, err
-		}
-		ws = &writerState{pm: pm, v: view.MaterializeCtx(ctx, doc, pm), ver: cur, gen: c.docGen, epoch: c.epoch, owned: true}
-		source = carryRederive
-	}
-	c.writers[s.user] = ws
 	sp.Annotate("source", source.label())
-	return ws.pm, ws.v, nil
+	return ws.rd, nil
 }
 
-// patch brings ws from its version up to the round document's current
-// version with the round's delta batches. It reports false when that is
-// not possible — the policy is not chain-only for the user, the batches
-// have a gap, or patching failed — and the caller re-derives; a failed
-// patch may leave ws half-patched, so the caller must drop it.
-func (c *commitCtx) patch(ctx context.Context, s *Session, ws *writerState) bool {
-	doc := c.curDoc()
-	chain, ok := chainFrom(c.batches, ws.ver, doc.Version())
-	if !ok {
-		return false
+// newReader builds s's read side on doc. With a chain-only policy for the
+// user, the filter is the user's guard table and each target is decided
+// by the policy's per-node evaluator; otherwise both come from the
+// shared-scan permission relation of doc.
+func (c *commitCtx) newReader(ctx context.Context, s *Session, doc *xmltree.Document) (access.Reader, guardSource, error) {
+	pol, h := c.curPolicy(), c.curSubjects()
+	s.mu.Lock()
+	ne := s.nodeEvaluatorLocked(pol, h, c.epoch)
+	s.mu.Unlock()
+	if ne != nil {
+		if pg, _ := c.engine().ProgramFor(s.user); pg != nil {
+			sec, st := pg.SecurityFor(s.user, s.vars(), doc)
+			if err := st.Err(); err != nil {
+				return access.Reader{}, 0, err
+			}
+			src := guardSnapshotTable
+			if !doc.Frozen() {
+				src = guardScratchFill
+			}
+			return access.Reader{User: s.user, Doc: doc, Sec: sec, Err: st.Err, Decide: ne.Decide}, src, nil
+		}
 	}
-	m := s.maintainer(c.curPolicy(), c.curSubjects(), c.epoch)
-	if m == nil {
-		return false
+	var cache *policy.RuleCache
+	if doc == c.base.doc && c.epoch == c.base.epoch {
+		cache = c.base.ruleCache()
 	}
-	if !ws.owned {
-		ws.v, ws.pm, ws.owned = ws.v.Snapshot(), ws.pm.Clone(), true
+	pm, err := pol.EvaluateSharedCtx(ctx, doc, h, s.user, cache)
+	if err != nil {
+		return access.Reader{}, 0, err
 	}
-	var deltas []xupdate.Delta
-	for _, b := range chain {
-		deltas = append(deltas, b...)
-	}
-	if err := m.ApplyCtx(ctx, ws.v, doc, ws.pm, deltas); err != nil {
-		return false
-	}
-	ws.ver = doc.Version()
-	return true
+	return access.Reader{User: s.user, Doc: doc, Sec: qfilter.ForPerms(pm), Decide: access.PermsDecider(pm)}, guardPerms, nil
 }

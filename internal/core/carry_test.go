@@ -23,10 +23,11 @@ import (
 	"securexml/internal/xupdate"
 )
 
-// The carried-view commit round must be indistinguishable from running
-// every operation through the reference executor, which evaluates the
-// policy and materializes the writer's view from scratch per operation
-// (access.ExecuteWithVars). These tests pit the two against each other.
+// The commit round's guarded writes must be indistinguishable from
+// running every operation through the reference executor, which evaluates
+// the policy and materializes the writer's view from scratch per
+// operation (access.ExecuteWithVars). These tests pit the two against
+// each other.
 
 // refMirror replays writes through the reference executor.
 type refMirror struct {
@@ -69,7 +70,7 @@ func (m *refMirror) apply(user, mods string) ([]*xupdate.Result, error) {
 			if err != nil {
 				return results, err
 			}
-			val, err := op.BindVariable(v.Doc.Root(), mergeUser(env, user))
+			val, err := op.BindVariable(v.Doc.Root(), mergeUser(env, user), nil)
 			if err != nil {
 				return results, err
 			}
@@ -321,24 +322,34 @@ func randomChainPolicy(t *testing.T, rng *rand.Rand, h *subject.Hierarchy) *poli
 // runDifferential drives seeded rounds of writes through the database and
 // the mirror and compares every outcome. Rounds are single requests or
 // stalled multi-request rounds that mix users, occasionally with a grant
-// in the middle; some sessions are warm (seeded from the view cache),
-// others cold (re-derived in the round).
+// in the middle. Two writers are warm — their sessions hold a cached view,
+// re-read and checked against the mirror between rounds — and the others
+// are cold: their sessions never read before the final check.
 func runDifferential(t *testing.T, db *Database, seed int64, rounds int) {
 	t.Helper()
 	m := newRefMirror(db)
 	rng := rand.New(rand.NewSource(seed))
 	stream := workload.OpStream(workload.OpConfig{Doc: m.doc, Seed: seed})
-	users := m.h.Users()
-	for _, u := range users {
-		if rng.Intn(2) == 0 {
-			s, err := db.SharedSession(u)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := s.View(); err != nil {
-				t.Fatal(err)
-			}
+	warm := []string{"laporte", "p0"}
+	readWarm := func(label, u string) {
+		s, err := db.SharedSession(u)
+		if err != nil {
+			t.Fatal(err)
 		}
+		got, err := s.View()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := m.view(u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !xmltree.Equal(got.Doc, want.Doc) {
+			t.Fatalf("%s: warm %s's view differs\ngot:\n%s\nwant:\n%s", label, u, got.Doc.Sketch(), want.Doc.Sketch())
+		}
+	}
+	for _, u := range warm {
+		readWarm(fmt.Sprintf("seed %d start", seed), u)
 	}
 	writers := []string{"laporte", "beaufort", "richard", "p0", "p1"}
 	for round := 0; round < rounds; round++ {
@@ -363,13 +374,7 @@ func runDifferential(t *testing.T, db *Database, seed int64, rounds int) {
 			t.Fatalf("%s: source differs", label)
 		}
 		if rng.Intn(4) == 0 {
-			s, err := db.SharedSession(writers[rng.Intn(len(writers))])
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := s.View(); err != nil {
-				t.Fatal(err)
-			}
+			readWarm(label, warm[rng.Intn(len(warm))])
 		}
 	}
 	checkState(t, fmt.Sprintf("seed %d final", seed), db, m)
@@ -423,13 +428,13 @@ func TestCarriedViewMatchesReferenceNonChainPolicy(t *testing.T) {
 	runDifferential(t, installed(doc, h, pol), 11, 30)
 }
 
-// carrySources returns the source annotation of every view_carry span in
-// the trace, in order.
-func carrySources(tr *obs.Trace) []string {
+// guardSources returns the source annotation of every write_guard span
+// in the trace, in order.
+func guardSources(tr *obs.Trace) []string {
 	var out []string
 	var walk func(s *obs.TraceSpan)
 	walk = func(s *obs.TraceSpan) {
-		if s.Name == "view_carry" {
+		if s.Name == "write_guard" {
 			out = append(out, s.Attrs["source"])
 		}
 		for _, c := range s.Children {
@@ -445,9 +450,10 @@ func carrySources(tr *obs.Trace) []string {
 // laporte's write whose select depends on that insert, beaufort again, a
 // laporte write that fails after a partial mutation (insert-before on an
 // attribute node), and writes by both users after that version gap. Every
-// outcome must match the reference, and the view_carry spans must show
-// each path: seeded from the warm cache, patched with the round's batches,
-// and re-derived across the gap.
+// outcome must match the reference, and the write_guard spans must show
+// each path: the base snapshot's shared guard table for the round's
+// first operation, a fill of the scratch document whenever an earlier
+// operation moved it, and the carried read side when nothing moved.
 func TestCarriedRoundSeesEarlierWrites(t *testing.T) {
 	db := hospital(t)
 	for _, g := range []struct {
@@ -459,15 +465,6 @@ func TestCarriedRoundSeesEarlierWrites(t *testing.T) {
 		{policy.Read, "//@*", "staff"},
 	} {
 		if err := db.Grant(g.priv, g.path, g.subj); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, u := range []string{"laporte", "beaufort"} {
-		s, err := db.SharedSession(u)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := s.View(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -509,49 +506,66 @@ func TestCarriedRoundSeesEarlierWrites(t *testing.T) {
 	checkState(t, "final", db, m)
 
 	want := [][]string{
-		{"cache_hit", "snapshot_patch"},      // seeded from the warm cache, then patched
-		{"snapshot_patch", "snapshot_patch"}, // seeded, patched with beaufort's batches
-		{"snapshot_patch"},                   // patched with laporte's batches
-		{"snapshot_patch"},                   // patched with beaufort's batch, then fails
-		{"rederive"},                         // across the failed write's version gap
-		{"rederive", "cache_hit"},            // gap; the append reuses the variable's view
+		{"snapshot_table", "scratch_fill"}, // base snapshot, then the moved scratch document
+		{"scratch_fill", "scratch_fill"},   // each operation moved the document
+		{"scratch_fill"},
+		{"scratch_fill"},            // then fails after a partial mutation
+		{"scratch_fill"},            // across the failed write's version gap
+		{"scratch_fill", "carried"}, // the append reuses the variable's read side
 	}
 	for i, tr := range traces {
-		if got := carrySources(tr); !reflect.DeepEqual(got, want[i]) {
-			t.Errorf("request %d: view_carry sources %v, want %v", i, got, want[i])
+		if got := guardSources(tr); !reflect.DeepEqual(got, want[i]) {
+			t.Errorf("request %d: write_guard sources %v, want %v", i, got, want[i])
 		}
 	}
 }
 
 // TestCarriedViewRederivesAfterGrant puts a grant between two writes of
 // one round: the second write must select and copy on the view the new
-// policy gives, not on the state carried from before the grant.
+// policy gives, not on the read side carried from before the grant. A
+// second round puts the grant first, so the write reads the base snapshot
+// through the guard of an engine the round builds for its own policy;
+// the service content it copies is hidden from the secretary before the
+// grant.
 func TestCarriedViewRederivesAfterGrant(t *testing.T) {
 	db := hospital(t)
-	s, err := db.SharedSession("beaufort")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.View(); err != nil {
+	if err := db.Revoke(policy.Read, "//service/node()", "secretary"); err != nil {
 		t.Fatal(err)
 	}
 	m := newRefMirror(db)
 	const wrap = `<xupdate:modifications version="1.0" xmlns:xupdate="http://www.xmldb.org/xupdate">%s</xupdate:modifications>`
 	tracer := obs.NewTracer(4, time.Hour, nil)
-	ctx, tr := tracer.StartTrace(context.Background(), "apply")
-	reqs := []*writeReq{
-		{user: "beaufort", mods: fmt.Sprintf(wrap, `<xupdate:append select="/patients"><ward/></xupdate:append>`)},
-		{user: "system", grant: "//diagnosis/node()"},
-		{ctx: ctx, user: "beaufort", mods: fmt.Sprintf(wrap,
-			`<xupdate:append select="/patients"><copy><xupdate:value-of select="/patients/franck/diagnosis/node()"/></copy></xupdate:append>`)},
+	rounds := []struct {
+		reqs func(ctx context.Context) []*writeReq
+		want []string
+	}{
+		{func(ctx context.Context) []*writeReq {
+			return []*writeReq{
+				{user: "beaufort", mods: fmt.Sprintf(wrap, `<xupdate:append select="/patients"><ward/></xupdate:append>`)},
+				{user: "system", grant: "//diagnosis/node()"},
+				{ctx: ctx, user: "beaufort", mods: fmt.Sprintf(wrap,
+					`<xupdate:append select="/patients"><copy><xupdate:value-of select="/patients/franck/diagnosis/node()"/></copy></xupdate:append>`)},
+			}
+		}, []string{"scratch_fill"}},
+		{func(ctx context.Context) []*writeReq {
+			return []*writeReq{
+				{user: "system", grant: "//service/node()"},
+				{ctx: ctx, user: "beaufort", mods: fmt.Sprintf(wrap,
+					`<xupdate:append select="/patients"><copy><xupdate:value-of select="/patients/robert/service/node()"/></copy></xupdate:append>`)},
+			}
+		}, []string{"snapshot_table"}},
 	}
-	stalledRound(t, db, reqs)
-	for i, r := range reqs {
-		checkReq(t, fmt.Sprintf("request %d", i), r, m)
-	}
-	checkState(t, "final", db, m)
-	if got := carrySources(tr); !reflect.DeepEqual(got, []string{"rederive"}) {
-		t.Errorf("view_carry sources after the grant: %v, want [rederive]", got)
+	for i, r := range rounds {
+		ctx, tr := tracer.StartTrace(context.Background(), "apply")
+		reqs := r.reqs(ctx)
+		stalledRound(t, db, reqs)
+		for j, req := range reqs {
+			checkReq(t, fmt.Sprintf("round %d request %d", i, j), req, m)
+		}
+		checkState(t, fmt.Sprintf("round %d", i), db, m)
+		if got := guardSources(tr); !reflect.DeepEqual(got, r.want) {
+			t.Errorf("round %d: write_guard sources after the grant: %v, want %v", i, got, r.want)
+		}
 	}
 }
 
@@ -586,6 +600,76 @@ func TestSecuredWritesDoNotRederive(t *testing.T) {
 	}
 	if m, e := materializations.Value()-m0, evaluations.Count()-e0; m != 0 || e != 0 {
 		t.Errorf("50 warm writes ran %d materializations and %d reference evaluations, want 0 and 0", m, e)
+	}
+}
+
+// TestColdSecuredWritesDoNotRederive is TestSecuredWritesDoNotRederive
+// for a writer whose session never read: it holds no view to select on,
+// and its writes still run no materialization and no policy evaluation
+// over the document — the targets are selected through the guard table
+// and decided node by node.
+func TestColdSecuredWritesDoNotRederive(t *testing.T) {
+	db := openHospital(t, 1000)
+	s, err := db.Session("laporte")
+	if err != nil {
+		t.Fatal(err)
+	}
+	materializations := obs.Default().Counter("xmlsec_view_materializations_total")
+	evaluations := obs.Stage("policy_evaluate")
+	shared := obs.Stage("policy_evaluate_shared")
+	m0, e0, s0 := materializations.Value(), evaluations.Count(), shared.Count()
+	for i := 0; i < 50; i++ {
+		res, err := s.Update(&xupdate.Op{
+			Kind:     xupdate.Update,
+			Select:   fmt.Sprintf("/patients/p%d/diagnosis", i*7),
+			NewValue: fmt.Sprintf("revised-%d", i),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Applied != 1 {
+			t.Fatalf("write %d: %+v", i, *res)
+		}
+	}
+	if m, e, sh := materializations.Value()-m0, evaluations.Count()-e0, shared.Count()-s0; m != 0 || e != 0 || sh != 0 {
+		t.Errorf("50 cold writes ran %d materializations, %d reference and %d shared-scan evaluations, want 0, 0 and 0", m, e, sh)
+	}
+}
+
+// TestNonChainSecuredWritesDoNotMaterialize: under a policy outside the
+// chain-only fragment for the writer (a predicate on a sibling's
+// content), writes select through the shared-scan permission relation
+// as a filter, still without materializing a view.
+func TestNonChainSecuredWritesDoNotMaterialize(t *testing.T) {
+	doc, h := hospitalFixture(t, 50, 3)
+	pol, err := workload.HospitalPolicy(h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pol.Revoke(h, policy.Read, "//diagnosis[../service = 'oncology']/node()", "staff"); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := pol.NodeEvaluator(h, "laporte"); ok {
+		t.Fatal("policy unexpectedly chain-only for laporte")
+	}
+	db := installed(doc, h, pol)
+	s, err := db.Session("laporte")
+	if err != nil {
+		t.Fatal(err)
+	}
+	materializations := obs.Default().Counter("xmlsec_view_materializations_total")
+	m0 := materializations.Value()
+	for i := 0; i < 20; i++ {
+		if _, err := s.Update(&xupdate.Op{
+			Kind:     xupdate.Update,
+			Select:   fmt.Sprintf("/patients/p%d/diagnosis", i),
+			NewValue: fmt.Sprintf("revised-%d", i),
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if m := materializations.Value() - m0; m != 0 {
+		t.Errorf("20 writes under a non-chain policy ran %d materializations, want 0", m)
 	}
 }
 

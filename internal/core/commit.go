@@ -6,6 +6,7 @@ import (
 
 	"securexml/internal/obs"
 	"securexml/internal/policy"
+	"securexml/internal/rewrite"
 	"securexml/internal/subject"
 	"securexml/internal/xmltree"
 	"securexml/internal/xupdate"
@@ -65,9 +66,13 @@ type commitCtx struct {
 	// round, in order (post-replacement only, when docReset is set).
 	batches []deltaBatch
 
-	// writers carries each writing user's permissions and view across
-	// the round's requests (see carry.go); it dies with the round.
+	// writers carries each writing user's read side across the round's
+	// requests (see carry.go); it dies with the round.
 	writers map[string]*writerState
+	// eng is the rewrite engine for policy epoch engEpoch, built once an
+	// admin operation moved the round's epoch past the base's.
+	eng      *rewrite.Engine
+	engEpoch uint64
 }
 
 // mutableDoc returns the round's scratch document, cloning the base

@@ -595,6 +595,13 @@ type Session struct {
 	maint      *view.Maintainer
 	maintEpoch uint64
 	maintReady bool
+	// nodeEval decides the session user's privileges node by node for
+	// the secured write path, compiled for policy epoch nodeEvalEpoch;
+	// nil with nodeEvalReady=true means the policy is not chain-only for
+	// this user.
+	nodeEval      *policy.NodeEvaluator
+	nodeEvalEpoch uint64
+	nodeEvalReady bool
 }
 
 // Session opens a session for a declared user. Roles cannot log in.
@@ -663,7 +670,7 @@ func (s *Session) currentView(ctx context.Context, g *generation) (*view.View, e
 // view was derived from (the Explain layer re-reads the same cell the
 // production path served).
 func (s *Session) currentViewPerms(ctx context.Context, g *generation) (*view.View, *policy.Perms, error) {
-	e, _, err := s.currentEntry(ctx, g, false)
+	e, err := s.currentEntry(ctx, g)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -671,22 +678,17 @@ func (s *Session) currentViewPerms(ctx context.Context, g *generation) (*view.Vi
 }
 
 // currentEntry returns the session's published cache entry for the pinned
-// generation g, building it as currentView describes, and how it was
-// served. The entry is frozen; callers must not mutate it. With warmOnly,
-// a session that holds no entry at all stays cold and currentEntry
-// returns nil: the write path uses the cache but never grows it.
-func (s *Session) currentEntry(ctx context.Context, g *generation, warmOnly bool) (*viewEntry, carrySource, error) {
+// generation g, building it as currentView describes. The entry is
+// frozen; callers must not mutate it.
+func (s *Session) currentEntry(ctx context.Context, g *generation) (*viewEntry, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	ver, epoch, gen := g.ver(), g.epoch, g.docGen
 	e := s.entry
-	if e == nil && warmOnly {
-		return nil, 0, nil
-	}
 	if e != nil && e.gen == gen && e.ver == ver && e.epoch == epoch {
 		cacheHits.Inc()
 		obs.AnnotateCtx(ctx, "view_source", "cache_hit")
-		return e, carryCacheHit, nil
+		return e, nil
 	}
 	if e != nil && e.gen == gen && e.epoch == epoch && e.ver < ver {
 		if ne := s.tryIncremental(ctx, g, e); ne != nil {
@@ -694,7 +696,7 @@ func (s *Session) currentEntry(ctx context.Context, g *generation, warmOnly bool
 			// package — neither a plain hit nor a materializing miss.
 			s.entry = ne
 			obs.AnnotateCtx(ctx, "view_source", "incremental")
-			return ne, carryIncremental, nil
+			return ne, nil
 		}
 		// A hard patch error poisoned the entry (tryIncremental set
 		// s.entry = nil) so the rebuild below starts cold.
@@ -713,13 +715,13 @@ func (s *Session) currentEntry(ctx context.Context, g *generation, warmOnly bool
 	}
 	pm, err := g.policy.EvaluateSharedCtx(ctx, g.doc, g.subjects, s.user, g.ruleCache())
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	v := view.MaterializeCtx(ctx, g.doc, pm)
 	v.Doc.Freeze()
 	ne := &viewEntry{v: v, pm: pm, ver: ver, epoch: epoch, gen: gen}
 	s.entry = ne
-	return ne, carryRederive, nil
+	return ne, nil
 }
 
 // tryIncremental builds a fresh cache entry by patching a copy of e from
@@ -772,11 +774,17 @@ func (s *Session) maintainerLocked(pol *policy.Policy, h *subject.Hierarchy, epo
 	return s.maint
 }
 
-// maintainer is maintainerLocked for callers that do not hold s.mu.
-func (s *Session) maintainer(pol *policy.Policy, h *subject.Hierarchy, epoch uint64) *view.Maintainer {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.maintainerLocked(pol, h, epoch)
+// nodeEvaluatorLocked returns the session user's per-node evaluator for
+// policy epoch, compiling it from pol and h when the epoch moved. nil
+// means the policy is not chain-only for the user. The evaluator is
+// immutable once compiled. Callers hold s.mu.
+func (s *Session) nodeEvaluatorLocked(pol *policy.Policy, h *subject.Hierarchy, epoch uint64) *policy.NodeEvaluator {
+	if !s.nodeEvalReady || s.nodeEvalEpoch != epoch {
+		s.nodeEval, _ = pol.NodeEvaluator(h, s.user)
+		s.nodeEvalEpoch = epoch
+		s.nodeEvalReady = true
+	}
+	return s.nodeEval
 }
 
 // View returns an independent snapshot of the user's current view. The
@@ -1204,10 +1212,10 @@ func (s *Session) journalOp(ctx context.Context, op *xupdate.Op) error {
 }
 
 // execOp executes one secured operation inside a commit round, on the
-// leader goroutine: the targets are selected on the writer's carried view
-// of the round's document (writerView) and applied to the round's scratch
-// clone. sp is the operation's session_update span, ended here for the
-// audit entry's duration.
+// leader goroutine: the targets are selected on the round's read document
+// through the writer's view filter (writerReader) and applied to the
+// round's scratch clone. sp is the operation's session_update span, ended
+// here for the audit entry's duration.
 func (s *Session) execOp(ctx context.Context, sp *obs.Span, c *commitCtx, op *xupdate.Op, env xpath.Vars) (*xupdate.Result, error) {
 	fail := func(err error) (*xupdate.Result, error) {
 		opsUpdate.fail.Inc()
@@ -1219,16 +1227,15 @@ func (s *Session) execOp(ctx context.Context, sp *obs.Span, c *commitCtx, op *xu
 	}
 	doc := c.mutableDoc(ctx)
 	fromVer := doc.Version()
-	pm, v, err := c.writerView(ctx, s)
+	rd, err := c.writerReader(ctx, s)
 	if err != nil {
 		return fail(err)
 	}
-	res, err := access.ApplyOnView(ctx, doc, pm, v, op, env)
+	res, err := access.Apply(ctx, doc, rd, op, env)
 	if err != nil {
 		// A failed executor may have partially mutated the scratch
 		// document; no batch is recorded, so the version gap forces every
-		// carried view and session cache to re-derive (chainFrom reports
-		// it).
+		// session cache to re-derive (chainFrom reports it).
 		return fail(err)
 	}
 	if toVer := doc.Version(); toVer != fromVer {
@@ -1281,8 +1288,8 @@ func anyApplied(results []*xupdate.Result) bool {
 
 // apply executes a modification document without journaling (used by Apply
 // and by journal replay). The whole document is one commit request: its
-// operations share the round's document clone and the writer's carried
-// view, and xupdate:variable bindings are evaluated on that view as the
+// operations share the round's document clone, and xupdate:variable
+// bindings are evaluated on the writer's view of the document as the
 // earlier operations left it. Execution stops at the first hard error;
 // the operations before it stay applied.
 func (s *Session) apply(ctx context.Context, modifications string) ([]*xupdate.Result, error) {
@@ -1314,17 +1321,21 @@ func (s *Session) apply(ctx context.Context, modifications string) ([]*xupdate.R
 	return results, err
 }
 
-// bindVariable evaluates an xupdate:variable binding on the writer's
-// carried view of the round's document.
+// bindVariable evaluates an xupdate:variable binding on the writer's view
+// of the round's read document.
 func (s *Session) bindVariable(ctx context.Context, c *commitCtx, op *xupdate.Op, env xpath.Vars) (xpath.Value, error) {
 	if err := op.Validate(); err != nil {
 		return nil, err
 	}
-	_, v, err := c.writerView(ctx, s)
+	rd, err := c.writerReader(ctx, s)
 	if err != nil {
 		return nil, err
 	}
-	return op.BindVariable(v.Doc.Root(), mergeUser(env, s.user))
+	val, err := op.BindVariable(rd.Doc.Root(), mergeUser(env, s.user), rd.Sec)
+	if err == nil && rd.Err != nil {
+		err = rd.Err()
+	}
+	return val, err
 }
 
 // mergeUser returns env plus the $USER binding.

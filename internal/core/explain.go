@@ -14,6 +14,7 @@ import (
 
 	"securexml/internal/obs"
 	"securexml/internal/policy"
+	"securexml/internal/qfilter"
 	"securexml/internal/view"
 	"securexml/internal/xmltree"
 	"securexml/internal/xpath"
@@ -67,10 +68,13 @@ type Explanation struct {
 }
 
 // Explain re-derives the access-control story for every node the XPath
-// expression matches on the *source* document (hidden nodes are exactly
-// the ones worth explaining, so selection must not run on the view).
-// It is a diagnostic operation — each call costs a cold policy
-// evaluation — and is never on the hot path.
+// expression matches on the caller's view: the expression is evaluated on
+// the source under the caller's view filter, and each node is reported
+// with the label and path the view shows (RESTRICTED where the caller
+// holds position only). A node outside the view is never explained to the
+// caller — that would reveal it (§2.2); explaining hidden nodes is an
+// administrator's task. It is a diagnostic operation and is never on the
+// hot path.
 func (s *Session) Explain(path string) (*Explanation, error) {
 	return s.ExplainCtx(context.Background(), path)
 }
@@ -88,7 +92,8 @@ func (s *Session) ExplainCtx(ctx context.Context, path string) (*Explanation, er
 		s.db.recordCtx(ctx, "explain", s.user, path, "error: "+err.Error(), sp.End())
 		return nil, err
 	}
-	ns, err := xpath.Select(g.doc, path, s.vars())
+	sec := qfilter.ForPermsUncounted(pm)
+	ns, err := selectFiltered(g.doc, path, s.vars(), sec)
 	if err != nil {
 		opsExplain.fail.Inc()
 		s.db.recordCtx(ctx, "explain", s.user, path, "error: "+err.Error(), sp.End())
@@ -109,6 +114,7 @@ func (s *Session) ExplainCtx(ctx context.Context, path string) (*Explanation, er
 	}
 	for i, n := range ns {
 		ne := explainNode(stories[i], n, pm, v)
+		ne.Label, ne.Path = sec.EffectiveLabel(n), sec.Path(n)
 		if !ne.Consistent {
 			ex.Consistent = false
 		}
@@ -118,6 +124,15 @@ func (s *Session) ExplainCtx(ctx context.Context, path string) (*Explanation, er
 	s.db.recordCtx(ctx, "explain", s.user, path,
 		fmt.Sprintf("%d nodes, consistent=%t", len(ex.Nodes), ex.Consistent), sp.End())
 	return ex, nil
+}
+
+// selectFiltered evaluates path on doc under sec.
+func selectFiltered(doc *xmltree.Document, path string, vars xpath.Vars, sec *xpath.Security) (xpath.NodeSet, error) {
+	c, err := xpath.Compile(path)
+	if err != nil {
+		return nil, err
+	}
+	return c.SelectFiltered(doc.Root(), vars, sec)
 }
 
 // explainNode assembles one node's explanation and runs the differential

@@ -63,11 +63,13 @@ func (p *Policy) NodeEvaluator(h *subject.Hierarchy, user string) (*NodeEvaluato
 // User returns the subject the evaluator was compiled for.
 func (ne *NodeEvaluator) User() string { return ne.user }
 
-// Rescore recomputes pm's grant mask for the single node n, replacing
-// whatever Evaluate (or a previous Rescore) stored. The conflict
-// resolution is identical to Evaluate's: per privilege, the applicable
-// rule with the greatest priority wins, and only an accept grants.
-func (ne *NodeEvaluator) Rescore(pm *Perms, n *xmltree.Node) error {
+// Decide re-runs axiom 14 for the single node n and returns the user's
+// privilege set on it, in O(rules × depth) and without touching any
+// permission relation. The conflict resolution is identical to
+// Evaluate's: per privilege, the applicable rule with the greatest
+// priority wins, and only an accept grants. The secured write path
+// decides each target this way instead of evaluating the whole document.
+func (ne *NodeEvaluator) Decide(n *xmltree.Node) (Decision, error) {
 	var cells [numPrivileges]struct {
 		priority int64
 		effect   Effect
@@ -76,7 +78,7 @@ func (ne *NodeEvaluator) Rescore(pm *Perms, n *xmltree.Node) error {
 		ok, err := r.matcher.Match(n, ne.vars)
 		ruleEvals.Inc()
 		if err != nil {
-			return fmt.Errorf("policy: rescoring node %s: %w", n.ID(), err)
+			return 0, fmt.Errorf("policy: deciding node %s: %w", n.ID(), err)
 		}
 		if !ok {
 			continue
@@ -88,18 +90,28 @@ func (ne *NodeEvaluator) Rescore(pm *Perms, n *xmltree.Node) error {
 			}{priority: r.priority, effect: r.effect}
 		}
 	}
-	var mask uint8
+	var d Decision
 	for _, priv := range Privileges {
 		if cells[priv].priority > 0 && cells[priv].effect == Accept {
-			mask |= 1 << uint(priv)
+			d |= 1 << uint(priv)
 		}
+	}
+	return d, nil
+}
+
+// Rescore recomputes pm's grant mask for the single node n with Decide,
+// replacing whatever Evaluate (or a previous Rescore) stored.
+func (ne *NodeEvaluator) Rescore(pm *Perms, n *xmltree.Node) error {
+	d, err := ne.Decide(n)
+	if err != nil {
+		return err
 	}
 	id := n.ID().String()
 	pm.mutable()
-	if mask == 0 {
+	if d == 0 {
 		delete(pm.grants, id)
 	} else {
-		pm.grants[id] = mask
+		pm.grants[id] = uint8(d)
 	}
 	return nil
 }

@@ -299,6 +299,31 @@ func (pm *Perms) Has(n *xmltree.Node, priv Privilege) bool {
 	return pm.HasID(n.ID().String(), priv)
 }
 
+// Decide returns the user's privilege set on n, without counting a
+// decision (Decision.Has counts each privilege actually checked).
+func (pm *Perms) Decide(n *xmltree.Node) Decision {
+	id := n.ID().String()
+	mask, inOverlay := pm.overlay[id]
+	if !inOverlay {
+		mask = pm.grants[id]
+	}
+	return Decision(mask)
+}
+
+// Decision is one user's axiom-14 privilege set on one node: bit 1<<p is
+// set iff perm(user, n, p) holds.
+type Decision uint8
+
+// Has reports whether d grants priv, counting the check like Perms.Has.
+func (d Decision) Has(priv Privilege) bool {
+	ok := d.Peek(priv)
+	countDecision(priv, ok)
+	return ok
+}
+
+// Peek is Has without counting a decision, for diagnostic reads.
+func (d Decision) Peek(priv Privilege) bool { return d&(1<<uint(priv)) != 0 }
+
 // Clone returns a private deep copy of the permission relation, with any
 // shared RuleCache map and $USER overlay flattened into an owned grants
 // map. The copy is safe to hand to the incremental maintainer (whose

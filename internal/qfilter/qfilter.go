@@ -41,19 +41,32 @@ import (
 //     node);
 //   - a visible node's effective label is its own with read, RESTRICTED
 //     with position only (axiom 17).
+//
+// Every privilege it checks counts as an enforcement decision.
 func ForPerms(pm *policy.Perms) *xpath.Security {
+	return forPerms(pm, policy.Decision.Has)
+}
+
+// ForPermsUncounted is ForPerms for diagnostic surfaces (Session.Explain):
+// the same filter, counting no enforcement decision.
+func ForPermsUncounted(pm *policy.Perms) *xpath.Security {
+	return forPerms(pm, policy.Decision.Peek)
+}
+
+func forPerms(pm *policy.Perms, has func(policy.Decision, policy.Privilege) bool) *xpath.Security {
 	return &xpath.Security{
 		Visible: func(n *xmltree.Node) bool {
 			if n.Kind() == xmltree.KindDocument {
 				return true // axiom 15
 			}
-			return pm.Has(n, policy.Read) || pm.Has(n, policy.Position)
+			d := pm.Decide(n)
+			return has(d, policy.Read) || has(d, policy.Position)
 		},
 		Label: func(n *xmltree.Node) string {
 			if n.Kind() == xmltree.KindDocument {
 				return n.Label()
 			}
-			if pm.Has(n, policy.Read) {
+			if has(pm.Decide(n), policy.Read) {
 				return n.Label()
 			}
 			return xmltree.Restricted

@@ -160,14 +160,12 @@ func TestSlowTraceThresholdOption(t *testing.T) {
 }
 
 // TestUpdateTraceShowsWritePath checks that a POST /update trace breaks
-// the write down into the commit round's spans — clone, carried view,
-// publish — and that a writer whose view is cached selects on it without
-// running the reference evaluator or a full materialization.
+// the write down into the commit round's spans — clone, write guard,
+// publish — and that a writer who never read selects through the guard
+// table of the base snapshot, without evaluating the policy over the
+// document or materializing a view.
 func TestUpdateTraceShowsWritePath(t *testing.T) {
 	ts := testServer(t)
-	if code, _ := get(t, ts, "laporte", "/view"); code != http.StatusOK {
-		t.Fatalf("/view = %d", code)
-	}
 	req, err := http.NewRequest(http.MethodPost, ts.URL+"/update", strings.NewReader(
 		`<xupdate:modifications version="1.0" xmlns:xupdate="http://www.xmldb.org/xupdate">
 		  <xupdate:update select="/patients/franck/diagnosis">pharyngitis</xupdate:update>
@@ -188,14 +186,14 @@ func TestUpdateTraceShowsWritePath(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("/trace = %d: %s", code, body)
 	}
-	for _, want := range []string{`"name":"commit_clone"`, `"name":"view_carry"`, `"source":"cache_hit"`, `"name":"commit_publish"`, `"name":"secured_apply"`} {
+	for _, want := range []string{`"name":"commit_clone"`, `"name":"write_guard"`, `"source":"snapshot_table"`, `"name":"commit_publish"`, `"name":"secured_apply"`} {
 		if !strings.Contains(body, want) {
 			t.Errorf("update trace missing %s:\n%s", want, body)
 		}
 	}
-	for _, unwanted := range []string{`"name":"policy_evaluate"`, `"name":"view_materialize"`} {
+	for _, unwanted := range []string{`"name":"policy_evaluate"`, `"name":"policy_evaluate_shared"`, `"name":"view_materialize"`} {
 		if strings.Contains(body, unwanted) {
-			t.Errorf("warm update trace contains %s:\n%s", unwanted, body)
+			t.Errorf("update trace contains %s:\n%s", unwanted, body)
 		}
 	}
 }

@@ -55,8 +55,7 @@ func isPlaceholder(n *xmltree.Node) bool {
 
 // ExpandContent resolves the value-of placeholders of op.Content by
 // evaluating their select expressions with ctx as the context node
-// (the document the operation reads from — the user's view under the
-// secured executor, the source under the unsecured one) and returns a
+// (the document the operation reads from) under sec, and returns a
 // fresh fragment with the placeholders replaced:
 //
 //   - a node-set result is replaced by deep copies of its nodes in
@@ -64,20 +63,27 @@ func isPlaceholder(n *xmltree.Node) bool {
 //     their values as text, as serializing an attribute alone would);
 //   - an atomic result is replaced by a text node with its string value.
 //
+// sec is nil when ctx's document is what the operation may read in full
+// (the source under the unsecured executor, a materialized view under
+// the reference secured one). Under a non-nil sec — the secured executor
+// reading the source through the writer's view filter — evaluation is
+// filtered and a copy takes only visible nodes, with their effective
+// labels, so it equals the copy the materialized view would give.
+//
 // Content without placeholders is returned unchanged.
-func (op *Op) ExpandContent(ctx *xmltree.Node, vars xpath.Vars) (*xmltree.Document, error) {
+func (op *Op) ExpandContent(ctx *xmltree.Node, vars xpath.Vars, sec *xpath.Security) (*xmltree.Document, error) {
 	if !op.HasDynamicContent() {
 		return op.Content, nil
 	}
 	out := xmltree.NewFragment(op.Content.Scheme())
-	if err := expandInto(out, out.Root(), op.Content.Root(), ctx, vars); err != nil {
+	if err := expandInto(out, out.Root(), op.Content.Root(), ctx, vars, sec); err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
 // expandInto copies src's children under dst, resolving placeholders.
-func expandInto(out *xmltree.Document, dst, src *xmltree.Node, ctx *xmltree.Node, vars xpath.Vars) error {
+func expandInto(out *xmltree.Document, dst, src *xmltree.Node, ctx *xmltree.Node, vars xpath.Vars, sec *xpath.Security) error {
 	for _, a := range src.Attributes() {
 		if _, err := out.SetAttribute(dst, a.Label(), a.StringValue()); err != nil {
 			return err
@@ -85,7 +91,7 @@ func expandInto(out *xmltree.Document, dst, src *xmltree.Node, ctx *xmltree.Node
 	}
 	for _, c := range src.Children() {
 		if isPlaceholder(c) {
-			if err := resolvePlaceholder(out, dst, c, ctx, vars); err != nil {
+			if err := resolvePlaceholder(out, dst, c, ctx, vars, sec); err != nil {
 				return err
 			}
 			continue
@@ -94,20 +100,20 @@ func expandInto(out *xmltree.Document, dst, src *xmltree.Node, ctx *xmltree.Node
 		if err != nil {
 			return err
 		}
-		if err := expandInto(out, nc, c, ctx, vars); err != nil {
+		if err := expandInto(out, nc, c, ctx, vars, sec); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func resolvePlaceholder(out *xmltree.Document, dst, ph *xmltree.Node, ctx *xmltree.Node, vars xpath.Vars) error {
+func resolvePlaceholder(out *xmltree.Document, dst, ph *xmltree.Node, ctx *xmltree.Node, vars xpath.Vars, sec *xpath.Security) error {
 	sel := strings.TrimPrefix(ph.Label(), valueOfMarker)
 	c, err := xpath.Compile(sel)
 	if err != nil {
 		return fmt.Errorf("xupdate: value-of select: %w", err)
 	}
-	v, err := c.Eval(ctx, vars)
+	v, err := c.EvalFiltered(ctx, vars, sec)
 	if err != nil {
 		return fmt.Errorf("xupdate: evaluating value-of %q: %w", sel, err)
 	}
@@ -119,17 +125,20 @@ func resolvePlaceholder(out *xmltree.Document, dst, ph *xmltree.Node, ctx *xmltr
 	for _, n := range ns {
 		switch n.Kind() {
 		case xmltree.KindAttribute:
-			if _, err := out.AppendChild(dst, xmltree.KindText, n.StringValue()); err != nil {
+			if _, err := out.AppendChild(dst, xmltree.KindText, sec.StringValue(n)); err != nil {
 				return err
 			}
 		case xmltree.KindDocument:
 			for _, ch := range n.Children() {
-				if err := copyNodeInto(out, dst, ch); err != nil {
+				if !sec.IsVisible(ch) {
+					continue
+				}
+				if err := copyNodeInto(out, dst, ch, sec); err != nil {
 					return err
 				}
 			}
 		default:
-			if err := copyNodeInto(out, dst, n); err != nil {
+			if err := copyNodeInto(out, dst, n, sec); err != nil {
 				return err
 			}
 		}
@@ -137,19 +146,27 @@ func resolvePlaceholder(out *xmltree.Document, dst, ph *xmltree.Node, ctx *xmltr
 	return nil
 }
 
-// copyNodeInto deep-copies node n (from any document) under dst.
-func copyNodeInto(out *xmltree.Document, dst, n *xmltree.Node) error {
-	nc, err := out.AppendChild(dst, n.Kind(), n.Label())
+// copyNodeInto deep-copies node n (from any document) under dst: the
+// part of its subtree visible under sec, with effective labels (all of
+// it, as stored, under a nil sec).
+func copyNodeInto(out *xmltree.Document, dst, n *xmltree.Node, sec *xpath.Security) error {
+	nc, err := out.AppendChild(dst, n.Kind(), sec.EffectiveLabel(n))
 	if err != nil {
 		return err
 	}
 	for _, a := range n.Attributes() {
-		if _, err := out.SetAttribute(nc, a.Label(), a.StringValue()); err != nil {
+		if !sec.IsVisible(a) {
+			continue
+		}
+		if _, err := out.SetAttribute(nc, sec.EffectiveLabel(a), sec.StringValue(a)); err != nil {
 			return err
 		}
 	}
 	for _, c := range n.Children() {
-		if err := copyNodeInto(out, nc, c); err != nil {
+		if !sec.IsVisible(c) {
+			continue
+		}
+		if err := copyNodeInto(out, nc, c, sec); err != nil {
 			return err
 		}
 	}
@@ -157,8 +174,9 @@ func copyNodeInto(out *xmltree.Document, dst, n *xmltree.Node) error {
 }
 
 // BindVariable executes a Variable op: it evaluates the select expression
-// with ctx as the context node and returns the binding to add to vars.
-func (op *Op) BindVariable(ctx *xmltree.Node, vars xpath.Vars) (xpath.Value, error) {
+// with ctx as the context node under sec (nil: unfiltered, see
+// ExpandContent) and returns the binding to add to vars.
+func (op *Op) BindVariable(ctx *xmltree.Node, vars xpath.Vars, sec *xpath.Security) (xpath.Value, error) {
 	if op.Kind != Variable {
 		return nil, fmt.Errorf("xupdate: BindVariable on %s", op.Kind)
 	}
@@ -166,5 +184,5 @@ func (op *Op) BindVariable(ctx *xmltree.Node, vars xpath.Vars) (xpath.Value, err
 	if err != nil {
 		return nil, err
 	}
-	return c.Eval(ctx, vars)
+	return c.EvalFiltered(ctx, vars, sec)
 }

@@ -236,7 +236,7 @@ func Execute(doc *xmltree.Document, op *Op, vars xpath.Vars) (*Result, error) {
 	}
 	run := op
 	if op.HasDynamicContent() {
-		expanded, err := op.ExpandContent(doc.Root(), vars)
+		expanded, err := op.ExpandContent(doc.Root(), vars, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -277,7 +277,7 @@ func ExecuteAll(doc *xmltree.Document, ops []*Op, vars xpath.Vars) ([]*Result, e
 			if err := op.Validate(); err != nil {
 				return results, err
 			}
-			v, err := op.BindVariable(doc.Root(), env)
+			v, err := op.BindVariable(doc.Root(), env, nil)
 			if err != nil {
 				return results, err
 			}
